@@ -1,26 +1,24 @@
 // darl/frameworks/distributed.hpp
 //
-// The multi-process actor–learner runtime (DESIGN.md §17): the same
-// coordination schedule as RllibBackend, but remote workers live in real
-// actor processes connected over darl/net sockets instead of threads in
-// the learner's address space. The learner publishes versioned weights
-// through net::ParamServer (serve::PolicyStore hot-swap chain underneath),
-// ships version max(t-2, 0) to remote actors at iteration t, and consumes
-// their batches one iteration late — exactly the in-process pipeline —
-// so reported-cost accounting stays in simcluster and campaign CSVs are
-// byte-identical between the two substrates.
+// The multi-process actor–learner runtime (DESIGN.md §17): a socket
+// transport for the one iteration engine (BackendBase::run_engine). Node
+// 0's workers stay threads in the learner; every remote node is an actor
+// process connected over darl/net. The engine keeps the whole schedule —
+// which version each node acts on, staleness, consumption order, the
+// SimCluster call sequence — so a distributed run's TrainResult is the
+// in-process RllibBackend's, bit for bit. The transport only moves
+// versioned weights out (through net::ParamServer, serve::PolicyStore's
+// hot-swap chain underneath) and BatchRecords in.
 //
 // Determinism contract (why the CSVs match bit for bit):
 //   * worker i everywhere seeds from Rng(seed).split(100 + i), the
-//     learner's algorithm from split(1) — same streams as make_workers.
+//     learner's algorithm from split(1).
 //   * weights travel as checkpoint-v2 text at round-trip precision and
 //     batches as precision-17 token streams, so every double is bitwise
-//     preserved across the wire.
-//   * the learner consumes delayed remote batches sorted by worker id,
-//     then local batches in id order — the push order of the in-process
-//     loop.
-//   * simulated time/energy come from the identical sequence of
-//     SimCluster calls; the wall clock never feeds a metric.
+//     preserved across the wire; the Job carries the architecture and the
+//     SAC log-std bounds, everything an actor's sampling reads.
+//   * remote batches become the same BatchRecord a local thread produces,
+//     and the engine orders every record by global worker id.
 
 #pragma once
 
@@ -68,11 +66,12 @@ struct DistributedOptions {
   double io_timeout_s = 120.0;
 };
 
-/// RllibBackend's schedule over real processes: local node-0 workers on
-/// threads, one actor process per remote node, weights out / batches in
-/// over length-prefixed frames, per-batch staleness accounted from the
-/// version tags actually carried on the wire (and published to
-/// net.staleness). Requires nodes >= 2 and a non-empty
+/// RllibBackend over real processes: the iteration engine with node 0's
+/// workers on threads and one actor process per remote node behind the
+/// socket transport (fleet bring-up, weights out / batches in over
+/// length-prefixed frames, Stop/Bye shutdown). Staleness is accounted from
+/// the version tags actually carried on the wire and published to
+/// net.staleness. Requires nodes >= 2 and a non-empty
 /// TrainRequest::env_spec.
 class DistributedRllibBackend final : public BackendBase {
  public:
@@ -88,8 +87,8 @@ class DistributedRllibBackend final : public BackendBase {
 
 /// The actor-process main loop: connect to the learner, handshake, build
 /// the node's rollout workers from the Job, then per iteration load the
-/// shipped checkpoint, collect on one thread per worker, and stream one
-/// Batch per worker back (bounded outbound queue — a slow learner
+/// shipped checkpoint, collect one BatchRecord per worker on its own
+/// thread, and stream each back as a Batch (bounded outbound queue — a slow learner
 /// backpressures collection instead of buffering unboundedly). Returns
 /// the number of iterations served; throws NetError/FrameError/WireError
 /// on transport or protocol failure.

@@ -142,6 +142,21 @@ rl::WorkerBatch RolloutWorker::collect_vec(std::size_t n_steps) {
   return batch;
 }
 
+BatchRecord RolloutWorker::collect_record(std::size_t n_steps,
+                                          std::size_t node,
+                                          std::uint64_t version) {
+  BatchRecord rec;
+  rec.batch = collect(n_steps);
+  rec.node = node;
+  rec.version = version;
+  rec.cost = take_cost();
+  const auto& eps = episodes();
+  rec.new_episodes.assign(
+      eps.begin() + static_cast<std::ptrdiff_t>(episodes_recorded_), eps.end());
+  episodes_recorded_ = eps.size();
+  return rec;
+}
+
 CollectCost RolloutWorker::take_cost() {
   CollectCost c = cost_;
   cost_ = CollectCost{};
@@ -154,6 +169,21 @@ const std::vector<env::EpisodeRecord>& RolloutWorker::episodes() const {
     return episodes_cache_;
   }
   return env_->episodes();
+}
+
+std::vector<std::unique_ptr<RolloutWorker>> make_workers(
+    const env::EnvFactory& factory, const rl::Algorithm& algo,
+    std::uint64_t seed, std::size_t first, std::size_t n) {
+  const Rng seeder(seed);
+  std::vector<std::unique_ptr<RolloutWorker>> workers;
+  workers.reserve(n);
+  for (std::size_t i = first; i < first + n; ++i) {
+    auto e = factory();
+    DARL_CHECK(e != nullptr, "env factory returned null");
+    workers.push_back(std::make_unique<RolloutWorker>(
+        i, std::move(e), algo.make_actor(), seeder.split(100 + i).seed()));
+  }
+  return workers;
 }
 
 }  // namespace darl::frameworks

@@ -23,6 +23,18 @@ struct CollectCost {
   std::size_t steps = 0;        ///< environment steps taken
 };
 
+/// One worker's contribution to one iteration — the single record the
+/// iteration engine consumes, whether a thread in the learner's process
+/// collected it or an actor process shipped it over the wire.
+struct BatchRecord {
+  rl::WorkerBatch batch;     ///< global worker id + transitions
+  std::size_t node = 0;      ///< node the worker runs on
+  std::uint64_t version = 0; ///< parameter version the worker acted with
+  CollectCost cost;          ///< drained collection cost of this batch
+  /// Episodes finished since the worker's previous record.
+  std::vector<env::EpisodeRecord> new_episodes;
+};
+
 /// One rollout worker. Not thread-safe; exactly one thread may drive it at
 /// a time (different workers may run concurrently).
 class RolloutWorker {
@@ -49,6 +61,12 @@ class RolloutWorker {
   /// ends mid-episode marked truncated (consumers bootstrap from next_obs).
   rl::WorkerBatch collect(std::size_t n_steps);
 
+  /// collect(n_steps), then drain the cost and the episodes finished since
+  /// the previous record into one BatchRecord tagged with `node` and the
+  /// parameter `version` the worker currently holds.
+  BatchRecord collect_record(std::size_t n_steps, std::size_t node,
+                             std::uint64_t version);
+
   /// Number of sub-environments (1 for a scalar worker).
   std::size_t n_envs() const { return vec_ ? vec_->n_envs() : 1; }
 
@@ -71,6 +89,7 @@ class RolloutWorker {
   Vec obs_;
   bool started_ = false;
   CollectCost cost_;
+  std::size_t episodes_recorded_ = 0;  // episodes already in a BatchRecord
 
   // Vectorized-collect staging (reused across collect calls).
   std::vector<Vec> vec_obs_;
@@ -79,5 +98,12 @@ class RolloutWorker {
   std::vector<std::vector<rl::Transition>> env_buf_;
   mutable std::vector<env::EpisodeRecord> episodes_cache_;
 };
+
+/// Workers with global ids first..first+n-1, worker i seeded from
+/// Rng(seed).split(100 + i): a worker's stream does not depend on the
+/// process that hosts it.
+std::vector<std::unique_ptr<RolloutWorker>> make_workers(
+    const env::EnvFactory& factory, const rl::Algorithm& algo,
+    std::uint64_t seed, std::size_t first, std::size_t n);
 
 }  // namespace darl::frameworks

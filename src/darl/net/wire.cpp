@@ -21,9 +21,23 @@ void put_vec(std::ostream& os, const Vec& v) {
   os << '\n';
 }
 
+/// Reject a declared element count the unread payload cannot hold (each
+/// element takes at least `min_bytes`) before anything is allocated: a
+/// hostile count is a WireError, never std::bad_alloc.
+void check_count(std::istream& is, std::size_t n, std::size_t min_bytes,
+                 const char* what) {
+  const std::streamsize avail = is.rdbuf()->in_avail();
+  if (avail < 0 || n > static_cast<std::size_t>(avail) / min_bytes) {
+    throw WireError(std::string("net: ") + what + " count " + std::to_string(n) +
+                    " exceeds the " + std::to_string(avail < 0 ? 0 : avail) +
+                    " payload bytes left");
+  }
+}
+
 Vec get_vec(std::istream& is, const char* what) {
   std::size_t n = 0;
   if (!(is >> n)) throw WireError(std::string("net: bad ") + what + " length");
+  check_count(is, n, 2, what);  // " x" per element
   Vec v(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!(is >> v[i])) {
@@ -104,6 +118,8 @@ std::string encode_job(const JobMsg& msg) {
   os << "hidden " << msg.hidden.size();
   for (const std::size_t h : msg.hidden) os << ' ' << h;
   os << '\n';
+  os << "sac_log_std " << msg.sac_log_std_min << ' ' << msg.sac_log_std_max
+     << '\n';
   os << "seed " << msg.seed << '\n';
   os << "topology " << msg.node << ' ' << msg.nodes << ' ' << msg.cores << ' '
      << msg.per_worker << '\n';
@@ -120,10 +136,14 @@ JobMsg decode_job(const std::string& payload) {
   msg.algo = algo_from_tag(get_value<std::string>(is, "Job algo"));
   expect_tag(is, "hidden", "Job");
   const auto n_hidden = get_value<std::size_t>(is, "Job hidden count");
+  check_count(is, n_hidden, 2, "Job hidden");
   msg.hidden.resize(n_hidden);
   for (std::size_t i = 0; i < n_hidden; ++i) {
     msg.hidden[i] = get_value<std::size_t>(is, "Job hidden size");
   }
+  expect_tag(is, "sac_log_std", "Job");
+  msg.sac_log_std_min = get_value<double>(is, "Job sac_log_std_min");
+  msg.sac_log_std_max = get_value<double>(is, "Job sac_log_std_max");
   expect_tag(is, "seed", "Job");
   msg.seed = get_value<std::uint64_t>(is, "Job seed");
   expect_tag(is, "topology", "Job");
@@ -137,6 +157,7 @@ JobMsg decode_job(const std::string& payload) {
   expect_tag(is, "env", "Job");
   const auto env_bytes = get_value<std::size_t>(is, "Job env length");
   is.get();  // the '\n' terminating the env length line
+  check_count(is, env_bytes, 1, "Job env spec");
   std::string spec(env_bytes, '\0');
   is.read(spec.data(), static_cast<std::streamsize>(env_bytes));
   if (static_cast<std::size_t>(is.gcount()) != env_bytes) {
@@ -160,6 +181,7 @@ WeightsMsg decode_weights(const std::string& payload) {
   msg.version = get_value<std::uint64_t>(is, "Weights version");
   const auto bytes = get_value<std::size_t>(is, "Weights length");
   is.get();
+  check_count(is, bytes, 1, "Weights checkpoint");
   std::string text(bytes, '\0');
   is.read(text.data(), static_cast<std::streamsize>(bytes));
   if (static_cast<std::size_t>(is.gcount()) != bytes) {
@@ -201,6 +223,7 @@ BatchMsg decode_batch_msg(const std::string& payload) {
   msg.steps = get_value<std::uint64_t>(is, "Batch steps");
   expect_tag(is, "episodes", "Batch");
   const auto n_eps = get_value<std::size_t>(is, "Batch episode count");
+  check_count(is, n_eps, 6, "Batch episode");  // "r s n\n"
   msg.episodes.resize(n_eps);
   for (env::EpisodeRecord& ep : msg.episodes) {
     ep.total_reward = get_value<double>(is, "Batch episode reward");
@@ -209,6 +232,8 @@ BatchMsg decode_batch_msg(const std::string& payload) {
   }
   expect_tag(is, "transitions", "Batch");
   const auto n_tr = get_value<std::size_t>(is, "Batch transition count");
+  // "r p t t\n" plus three vector lines of at least "0\n".
+  check_count(is, n_tr, 14, "Batch transition");
   msg.transitions.resize(n_tr);
   for (rl::Transition& t : msg.transitions) {
     t.reward = get_value<double>(is, "Batch reward");

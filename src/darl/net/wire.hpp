@@ -7,12 +7,15 @@
 // decoded on the far side is *bitwise* the value encoded, which is what
 // keeps the distributed runtime's campaign CSVs byte-identical to the
 // in-process path. Integrity comes from the frame digest, so the codec
-// itself can stay a plain token stream.
+// itself can stay a plain token stream. A digest proves nothing about a
+// hostile peer, though: every decoder checks each declared count against
+// the unread payload bytes before allocating and throws WireError.
 //
 // Protocol (learner-driven, synchronous per iteration):
 //
 //   actor -> learner   Hello{node}                      (once, on connect)
-//   learner -> actor   Job{algo, seed, topology, env}   (once)
+//   learner -> actor   Job{algo, sac bounds, seed,      (once)
+//                          topology, env}
 //   learner -> actor   Weights{version, checkpoint}     (per iteration)
 //   actor -> learner   Batch{worker, version, cost,     (one per worker
 //                            episodes, transitions}      per iteration)
@@ -28,6 +31,7 @@
 #include "darl/env/wrappers.hpp"
 #include "darl/net/frame.hpp"
 #include "darl/rl/checkpoint.hpp"
+#include "darl/rl/sac.hpp"
 #include "darl/rl/types.hpp"
 
 namespace darl::net {
@@ -52,7 +56,7 @@ class WireError : public NetError {
   explicit WireError(const std::string& what_arg) : NetError(what_arg) {}
 };
 
-inline constexpr std::uint64_t kProtocolVersion = 1;
+inline constexpr std::uint64_t kProtocolVersion = 2;
 
 /// Actor's opening handshake.
 struct HelloMsg {
@@ -66,6 +70,10 @@ struct HelloMsg {
 struct JobMsg {
   rl::AlgoKind algo = rl::AlgoKind::PPO;
   std::vector<std::size_t> hidden;
+  /// SAC's log-std head bounds: the only hyperparameters a SAC actor's
+  /// sampling reads besides its architecture and weights.
+  double sac_log_std_min = rl::SacConfig{}.log_std_min;
+  double sac_log_std_max = rl::SacConfig{}.log_std_max;
   std::uint64_t seed = 0;
   std::uint64_t node = 0;   ///< which node this actor plays
   std::uint64_t nodes = 0;  ///< total deployment size

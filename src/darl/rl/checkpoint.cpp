@@ -58,6 +58,26 @@ std::size_t parse_metadata(const std::string& line, Checkpoint& ck) {
   return count;
 }
 
+/// Reject a parameter count the rest of the stream cannot hold (every
+/// value takes at least a digit and a separator) before allocating, so a
+/// hostile count is a CheckpointError, never std::bad_alloc. A stream that
+/// cannot seek skips the check; the loaders grow with the values actually
+/// read, so allocation stays bounded by the input either way.
+void check_param_count(std::istream& in, std::size_t count) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1)) return;
+  const auto left = static_cast<std::size_t>(end - here);
+  if (count > (left + 1) / 2) {
+    throw CheckpointError("checkpoint declares " + std::to_string(count) +
+                          " parameters but only " + std::to_string(left) +
+                          " bytes follow");
+  }
+}
+
 /// Legacy v1 body: whitespace-separated values, no integrity footer.
 Checkpoint load_v1_body(std::istream& in) {
   Checkpoint ck;
@@ -69,12 +89,14 @@ Checkpoint load_v1_body(std::istream& in) {
   ck.kind = parse_algo(algo);
   ck.obs_dim = obs_dim;
   ck.action_dim = action_dim;
-  ck.params.resize(count);
+  check_param_count(in, count);
   for (std::size_t i = 0; i < count; ++i) {
-    if (!(in >> ck.params[i])) {
+    double v = 0.0;
+    if (!(in >> v)) {
       throw CheckpointError("checkpoint truncated at parameter " +
                             std::to_string(i) + " of " + std::to_string(count));
     }
+    ck.params.push_back(v);
   }
   return ck;
 }
@@ -89,7 +111,7 @@ Checkpoint load_v2_body(std::istream& in) {
   std::string payload = line + '\n';
   Checkpoint ck;
   const std::size_t count = parse_metadata(line, ck);
-  ck.params.resize(count);
+  check_param_count(in, count);
   for (std::size_t i = 0; i < count; ++i) {
     if (!std::getline(in, line)) {
       throw CheckpointError("checkpoint truncated at parameter " +
@@ -98,10 +120,12 @@ Checkpoint load_v2_body(std::istream& in) {
     payload += line;
     payload += '\n';
     std::istringstream value(line);
-    if (!(value >> ck.params[i])) {
+    double v = 0.0;
+    if (!(value >> v)) {
       throw CheckpointError("unparsable checkpoint parameter " +
                             std::to_string(i) + ": '" + line + "'");
     }
+    ck.params.push_back(v);
   }
   if (!std::getline(in, line)) {
     throw CheckpointError("checkpoint truncated before integrity footer");

@@ -3,9 +3,14 @@
 // paper attributes to each framework (multi-node speedup, vectorization
 // coupling, single-node power advantage).
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "darl/common/error.hpp"
+#include "darl/common/rng.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/pendulum.hpp"
 #include "darl/env/wrappers.hpp"
@@ -348,6 +353,84 @@ TEST(Backends, SacRunsThroughBackends) {
     const TrainResult r = backend->run(req);
     EXPECT_GE(r.timesteps, 512u) << framework_name(kind);
     EXPECT_LT(r.reward, 0.0) << framework_name(kind);  // Pendulum is negative
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: every non-wall-clock TrainResult field, pinned across
+// commits. DeterministicForFixedSeed compares a run with itself; these
+// catch a refactor of the iteration schedule that moves any number.
+
+/// small_request with SAC on a short-horizon Pendulum at the cheap learner
+/// settings Backends.SacRunsThroughBackends uses.
+TrainRequest small_sac_request(FrameworkKind kind, std::size_t nodes,
+                               std::size_t cores) {
+  TrainRequest req = small_request(kind, nodes, cores);
+  req.env_factory = [] {
+    return std::make_unique<env::TimeLimit>(
+        std::make_unique<env::PendulumEnv>(), 50);
+  };
+  req.algo.kind = rl::AlgoKind::SAC;
+  req.algo.sac.warmup_steps = 64;
+  req.algo.sac.batch_size = 16;
+  req.algo.sac.updates_per_step = 0.1;
+  return req;
+}
+
+/// fnv1a64 over the bit patterns of every TrainResult field that does not
+/// come from the wall clock, rendered as 16 hex digits.
+std::string result_digest(const TrainResult& r) {
+  std::string bytes;
+  const auto put = [&bytes](const auto& v) {
+    char raw[sizeof(v)];
+    std::memcpy(raw, &v, sizeof(v));
+    bytes.append(raw, sizeof(v));
+  };
+  put(r.reward);
+  put(r.sim_seconds);
+  put(r.sim_energy_joules);
+  put(r.reward_stddev);
+  put(r.train_reward);
+  put(r.net_staleness);
+  put(static_cast<std::uint64_t>(r.timesteps));
+  put(static_cast<std::uint64_t>(r.episodes));
+  put(static_cast<std::uint64_t>(r.iterations));
+  put(r.final_policy_loss);
+  put(r.final_value_loss);
+  put(r.final_entropy);
+  put(static_cast<std::uint64_t>(r.final_policy.size()));
+  for (const double v : r.final_policy) put(v);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(bytes)));
+  return hex;
+}
+
+TEST(Backends, GoldenResultDigests) {
+  struct Case {
+    FrameworkKind kind;
+    std::size_t nodes;
+    rl::AlgoKind algo;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {FrameworkKind::RayRllib, 1, rl::AlgoKind::PPO, "995573fd8d144389"},
+      {FrameworkKind::RayRllib, 2, rl::AlgoKind::PPO, "f2a2502869c74a64"},
+      {FrameworkKind::StableBaselines, 1, rl::AlgoKind::PPO, "71b033cd2e9bb39c"},
+      {FrameworkKind::TfAgents, 1, rl::AlgoKind::PPO, "1770332b4ce22955"},
+      {FrameworkKind::RayRllib, 1, rl::AlgoKind::SAC, "a93fd01399a8d3a5"},
+      {FrameworkKind::RayRllib, 2, rl::AlgoKind::SAC, "23b6b3bf242dbc82"},
+      {FrameworkKind::StableBaselines, 1, rl::AlgoKind::SAC, "f048bfc366068d85"},
+      {FrameworkKind::TfAgents, 1, rl::AlgoKind::SAC, "3559920eda7f80a0"},
+  };
+  for (const Case& c : cases) {
+    const TrainRequest req = c.algo == rl::AlgoKind::SAC
+                                 ? small_sac_request(c.kind, c.nodes, 2)
+                                 : small_request(c.kind, c.nodes, 2);
+    const TrainResult r = make_backend(c.kind)->run(req);
+    EXPECT_EQ(result_digest(r), c.digest)
+        << framework_name(c.kind) << " " << c.nodes << "x2 "
+        << rl::algo_name(c.algo);
   }
 }
 

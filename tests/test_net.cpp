@@ -285,6 +285,8 @@ TEST(NetWire, HelloJobByeRoundTrip) {
   net::JobMsg job;
   job.algo = rl::AlgoKind::SAC;
   job.hidden = {32, 16};
+  job.sac_log_std_min = -4.5;
+  job.sac_log_std_max = 1.0 / 3.0;
   job.seed = 0xDEADBEEFCAFEull;
   job.node = 2;
   job.nodes = 4;
@@ -296,6 +298,8 @@ TEST(NetWire, HelloJobByeRoundTrip) {
   const net::JobMsg job2 = net::decode_job(net::encode_job(job));
   EXPECT_EQ(job2.algo, rl::AlgoKind::SAC);
   EXPECT_EQ(job2.hidden, (std::vector<std::size_t>{32, 16}));
+  EXPECT_EQ(job2.sac_log_std_min, job.sac_log_std_min);
+  EXPECT_EQ(job2.sac_log_std_max, job.sac_log_std_max);  // bitwise
   EXPECT_EQ(job2.seed, job.seed);
   EXPECT_EQ(job2.node, 2u);
   EXPECT_EQ(job2.nodes, 4u);
@@ -386,6 +390,54 @@ TEST(NetWire, BatchRoundTripBitwise) {
     EXPECT_EQ(y.terminated, x.terminated);
     EXPECT_EQ(y.truncated, x.truncated);
   }
+}
+
+// Hostile counts: a peer can put a valid digest over any content, so each
+// decoder must check a declared count against the unread payload before
+// allocating — a typed error, never std::bad_alloc.
+
+TEST(NetWire, BatchInflatedCountsAreWireErrors) {
+  EXPECT_THROW(net::decode_batch_msg("batch 0 0\ncost 0 0 0\n"
+                                     "episodes 4000000000\n1 2 3\n"),
+               net::WireError);
+  EXPECT_THROW(net::decode_batch_msg("batch 0 0\ncost 0 0 0\nepisodes 0\n"
+                                     "transitions 4000000000\n0 0 0 0\n"),
+               net::WireError);
+}
+
+TEST(NetWire, BatchVectorInflatedLengthIsWireError) {
+  EXPECT_THROW(net::decode_batch_msg("batch 0 0\ncost 0 0 0\nepisodes 0\n"
+                                     "transitions 1\n0 0 0 0\n"
+                                     "1000000000000 1 2\n1 0\n1 0\n"),
+               net::WireError);
+}
+
+TEST(NetWire, JobInflatedCountsAreWireErrors) {
+  net::JobMsg job;
+  job.hidden = {32, 16};
+  job.env_spec = "spec";
+  const std::string good = net::encode_job(job);
+  ASSERT_NO_THROW(net::decode_job(good));
+
+  std::string hidden = good;
+  hidden.replace(hidden.find("hidden 2 "), 9, "hidden 1000000000000 ");
+  EXPECT_THROW(net::decode_job(hidden), net::WireError);
+
+  std::string env = good;
+  env.replace(env.find("env 4\n"), 6, "env 1000000000000\n");
+  EXPECT_THROW(net::decode_job(env), net::WireError);
+}
+
+TEST(NetWire, WeightsInflatedLengthIsWireError) {
+  EXPECT_THROW(net::decode_weights("weights 3 1000000000000\nshort"),
+               net::WireError);
+}
+
+TEST(NetWire, CheckpointInflatedCountIsCheckpointError) {
+  std::istringstream v2("darl-checkpoint-v2\nPPO 3 1 1000000000000\n0.5\n");
+  EXPECT_THROW(rl::load_checkpoint(v2), rl::CheckpointError);
+  std::istringstream v1("darl-checkpoint-v1\nPPO 3 1 1000000000000 0.5\n");
+  EXPECT_THROW(rl::load_checkpoint(v1), rl::CheckpointError);
 }
 
 TEST(NetWire, EveryMessageTypeOverASocketpair) {
@@ -497,8 +549,12 @@ TEST(NetParamServer, PublishesVersionedCheckpointsThroughTheStore) {
 // ---------------------------------------------------------------------------
 // The acceptance bar: loopback multi-process run == in-process run, bitwise.
 
-frameworks::TrainRequest tiny_rllib_request(std::size_t nodes) {
+frameworks::TrainRequest tiny_rllib_request(
+    std::size_t nodes, rl::AlgoKind algo = rl::AlgoKind::PPO) {
   airdrop::AirdropConfig cfg;
+  // SAC needs the continuous steering channel (as in the airdrop study).
+  cfg.action_mode = algo == rl::AlgoKind::SAC ? airdrop::ActionMode::Continuous
+                                              : airdrop::ActionMode::Discrete3;
   cfg.wind_enabled = false;
   cfg.gusts_enabled = false;
   cfg.altitude_min = 30.0;
@@ -507,7 +563,7 @@ frameworks::TrainRequest tiny_rllib_request(std::size_t nodes) {
   frameworks::TrainRequest req;
   req.env_factory = airdrop::make_airdrop_factory(cfg);
   req.env_spec = airdrop::encode_airdrop_spec(cfg);
-  req.algo.kind = rl::AlgoKind::PPO;
+  req.algo.kind = algo;
   req.deployment.nodes = nodes;
   req.deployment.cores_per_node = 2;
   req.total_timesteps = 1536;
@@ -517,8 +573,29 @@ frameworks::TrainRequest tiny_rllib_request(std::size_t nodes) {
   return req;
 }
 
-TEST(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
-  const frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/3);
+/// One algorithm setup for the loopback acceptance run.
+struct LoopbackCase {
+  const char* name;
+  rl::AlgoKind algo;
+  double sac_log_std_max;  // SAC only
+};
+
+void PrintTo(const LoopbackCase& c, std::ostream* os) { *os << c.name; }
+
+class NetDistributed : public ::testing::TestWithParam<LoopbackCase> {};
+
+TEST_P(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
+  frameworks::TrainRequest req =
+      tiny_rllib_request(/*nodes=*/3, GetParam().algo);
+  if (req.algo.kind == rl::AlgoKind::SAC) {
+    // The cheap learner settings of Backends.SacRunsThroughBackends.
+    req.algo.sac.warmup_steps = 64;
+    req.algo.sac.batch_size = 16;
+    req.algo.sac.updates_per_step = 0.1;
+    // A non-default bound changes what the actors sample, so the remote
+    // side must learn it from the Job.
+    req.algo.sac.log_std_max = GetParam().sac_log_std_max;
+  }
 
   frameworks::RllibBackend in_process;
   const frameworks::TrainResult want = in_process.run(req);
@@ -566,7 +643,16 @@ TEST(NetDistributed, LoopbackRunMatchesInProcessBitwise) {
   EXPECT_GT(got.net_staleness, 0.0);
 }
 
-TEST(NetDistributed, MissingActorSurfacesAsTimeoutNotHang) {
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, NetDistributed,
+    ::testing::Values(
+        LoopbackCase{"PPO", rl::AlgoKind::PPO, rl::SacConfig{}.log_std_max},
+        LoopbackCase{"IMPALA", rl::AlgoKind::IMPALA, rl::SacConfig{}.log_std_max},
+        LoopbackCase{"SAC", rl::AlgoKind::SAC, rl::SacConfig{}.log_std_max},
+        LoopbackCase{"SAC_log_std_max_1", rl::AlgoKind::SAC, 1.0}),
+    [](const auto& gen_info) { return std::string(gen_info.param.name); });
+
+TEST_F(NetDistributed, MissingActorSurfacesAsTimeoutNotHang) {
   frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/2);
   frameworks::DistributedOptions opts;
   opts.enabled = true;
@@ -577,7 +663,7 @@ TEST(NetDistributed, MissingActorSurfacesAsTimeoutNotHang) {
   EXPECT_THROW(backend.run(req), net::NetError);
 }
 
-TEST(NetDistributed, SingleNodeJobsAreRejected) {
+TEST_F(NetDistributed, SingleNodeJobsAreRejected) {
   frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/1);
   frameworks::DistributedOptions opts;
   opts.enabled = true;
@@ -585,7 +671,7 @@ TEST(NetDistributed, SingleNodeJobsAreRejected) {
   EXPECT_THROW(backend.run(req), Error);
 }
 
-TEST(NetDistributed, EmptyEnvSpecIsRejected) {
+TEST_F(NetDistributed, EmptyEnvSpecIsRejected) {
   frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/2);
   req.env_spec.clear();
   frameworks::DistributedOptions opts;

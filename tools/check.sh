@@ -60,7 +60,9 @@
 #                    the in-process one byte for byte with nonzero
 #                    NetStaleness on the engaged trials
 #
-# A per-stage wall-clock summary prints at the end.
+# A per-stage wall-clock summary prints at the end, next to the tracked
+# line count of src/ tools/ tests/ bench/ examples/ (a printed number the
+# roadmap tracks, not a gate).
 #
 # Usage: tools/check.sh [extra ctest args...]
 #   e.g. tools/check.sh -R core_fault
@@ -365,4 +367,8 @@ echo "=== stage timing ==="
 for i in "${!STAGE_NAMES[@]}"; do
   printf '  %4ds  %s\n' "${STAGE_SECS[$i]}" "${STAGE_NAMES[$i]}"
 done
+if git rev-parse --git-dir > /dev/null 2>&1; then
+  echo "=== tracked lines (src tools tests bench examples) ==="
+  echo "  $(git ls-files src tools tests bench examples | xargs cat | wc -l)"
+fi
 echo "=== check.sh: all gates green ==="
