@@ -9,7 +9,6 @@
 #include "darl/nn/distributions.hpp"
 #include "darl/nn/mlp.hpp"
 #include "darl/nn/optimizer.hpp"
-#include "darl/nn/quantize.hpp"
 
 namespace {
 
@@ -106,28 +105,6 @@ void BM_MlpForwardBackwardBatchThreads(benchmark::State& state) {
       flops * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
   linalg::ThreadPool::instance().configure(linalg::env_thread_width());
-}
-
-// int8 row-quantized batched inference (the darl/serve quantized path)
-// against BM_MlpForwardBatch at the same shape. Args: {hidden, batch}.
-void BM_MlpEvaluateBatchQuantized(benchmark::State& state) {
-  Rng rng(6);
-  const auto h = static_cast<std::size_t>(state.range(0));
-  const auto b = static_cast<std::size_t>(state.range(1));
-  nn::Mlp net({12, h, h, 3}, nn::Activation::Tanh, rng);
-  const nn::QuantizedNet qn = nn::quantize_mlp_params(
-      {12, h, h, 3}, nn::Activation::Tanh, net.get_flat_params());
-  const Matrix x(b, 12, 0.3);
-  net.evaluate_batch_quantized(x, qn);  // size workspaces untimed
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        net.evaluate_batch_quantized(x, qn).data().data());
-  }
-  const double flops =
-      net.flops_per_forward() * static_cast<double>(b);
-  state.counters["flops/s"] = benchmark::Counter(
-      flops * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
 }
 
 // Faithful replica of the pre-batching per-sample implementation: plain
@@ -290,10 +267,6 @@ BENCHMARK(BM_MlpForwardBackwardBatchThreads)
     ->Args({64, 64, 8})
     ->Args({128, 256, 1})
     ->Args({128, 256, 4});
-BENCHMARK(BM_MlpEvaluateBatchQuantized)
-    ->Args({64, 1})
-    ->Args({64, 64})
-    ->Args({128, 64});
 BENCHMARK(BM_MlpForwardBackwardPerSampleLoop)->Args({64, 64})->Args({128, 64});
 BENCHMARK(BM_MlpForwardBackwardWrapperLoop)->Args({64, 64})->Args({128, 64});
 BENCHMARK(BM_AdamStep);

@@ -5,7 +5,6 @@
 
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
-#include "darl/nn/quantize.hpp"
 #include "darl/obs/metrics.hpp"
 
 namespace darl::nn {
@@ -120,36 +119,6 @@ const Matrix& Mlp::evaluate_batch(const Matrix& x) const {
     z->fill(0.0);
     Matrix::gemm(1.0, *a, false, weights_[l], true, *z);
     add_bias(*z, biases_[l]);
-    if (l + 1 < layers) apply_act(*z);
-    a = z;
-    std::swap(z, spare);
-  }
-  return *a;
-}
-
-void Mlp::ensure_quant_ws() const {
-  std::size_t widest = 0;
-  for (std::size_t l = 0; l + 1 < sizes_.size(); ++l)
-    widest = std::max(widest, sizes_[l]);
-  if (ws_qx_.size() < widest) ws_qx_.resize(widest);
-}
-
-const Matrix& Mlp::evaluate_batch_quantized(const Matrix& x,
-                                            const QuantizedNet& qn) const {
-  DARL_CHECK(x.cols() == input_dim(),
-             "Mlp input has " << x.cols() << " dims, expected " << input_dim());
-  DARL_CHECK(qn.sizes == sizes_,
-             "quantized net architecture does not match this Mlp");
-  const std::size_t batch = x.rows();
-  const std::size_t layers = weights_.size();
-  record_batch(batch, flops_fwd_ * static_cast<double>(batch));
-  ensure_quant_ws();
-  const Matrix* a = &x;
-  Matrix* z = &ws_eval_a_;
-  Matrix* spare = &ws_eval_b_;
-  for (std::size_t l = 0; l < layers; ++l) {
-    z->reshape(batch, sizes_[l + 1]);
-    quantized_layer_forward(qn.layers[l], *a, ws_qx_.data(), *z);
     if (l + 1 < layers) apply_act(*z);
     a = z;
     std::swap(z, spare);

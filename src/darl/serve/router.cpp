@@ -43,9 +43,10 @@ const char* priority_name(Priority priority) {
 Router::Router(const PolicyStore& store, RouterConfig config)
     : config_(std::move(config)) {
   DARL_CHECK(config_.shards >= 1, "router needs at least one shard");
-  DARL_CHECK(config_.shed_low <= config_.shed_normal &&
+  DARL_CHECK(config_.shed_low >= 0.0 &&
+                 config_.shed_low <= config_.shed_normal &&
                  config_.shed_normal <= config_.shed_high,
-             "shed watermarks must be ordered low <= normal <= high");
+             "shed watermarks must be ordered 0 <= low <= normal <= high");
   const std::vector<std::string> names = store.tenant_names();
   DARL_CHECK(!names.empty(),
              "PolicyStore has no published tenants to route to");
@@ -54,10 +55,6 @@ Router::Router(const PolicyStore& store, RouterConfig config)
   for (const std::string& name : names) {
     auto group = std::make_unique<TenantGroup>();
     group->name = name;
-    group->quantized =
-        config_.quantized &&
-        std::find(config_.exact_tenants.begin(), config_.exact_tenants.end(),
-                  name) == config_.exact_tenants.end();
     group->quota.store(config_.default_quota, std::memory_order_relaxed);
     const std::string label = tenant_label(name);
     group->requests_ctr =
@@ -81,7 +78,6 @@ Router::Router(const PolicyStore& store, RouterConfig config)
     for (std::size_t s = 0; s < config_.shards; ++s) {
       ServeConfig shard_config = config_.shard;
       shard_config.tenant = name;
-      shard_config.quantized = group->quantized;
       shard_config.labels = {{"tenant", label},
                              {"shard", std::to_string(s)}};
       group->shards.push_back(
@@ -171,11 +167,6 @@ std::vector<std::string> Router::tenant_names() const {
   names.reserve(tenants_.size());
   for (const auto& [name, group] : tenants_) names.push_back(name);
   return names;
-}
-
-bool Router::tenant_quantized(const std::string& tenant_name) const {
-  const TenantGroup* group = find_tenant(tenant_name);
-  return group != nullptr && group->quantized;
 }
 
 BatchScheduler* Router::shard(const std::string& tenant_name,

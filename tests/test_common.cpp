@@ -1,9 +1,11 @@
 // Unit tests for darl/common: rng, stats, csv, jsonl, table, ascii_plot,
-// error macros.
+// strict number parsing, error macros.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -12,6 +14,7 @@
 #include "darl/common/error.hpp"
 #include "darl/common/jsonl.hpp"
 #include "darl/common/log.hpp"
+#include "darl/common/parse.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stats.hpp"
 #include "darl/common/stopwatch.hpp"
@@ -458,6 +461,63 @@ TEST(Splitmix, IsDeterministicAndMixes) {
   }
   EXPECT_GT(flipped, 16);
   EXPECT_LT(flipped, 48);
+}
+
+// ---------------------------------------------------------------- parse
+
+TEST(Parse, CountAcceptsPlainDecimal) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("42"), 42u);
+  EXPECT_EQ(parse_count("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(Parse, CountRejectsSignedValues) {
+  // strtoull alone reads "-1" as 2^64-1.
+  EXPECT_FALSE(parse_count("-1"));
+  EXPECT_FALSE(parse_count("-0"));
+  EXPECT_FALSE(parse_count("+1"));
+}
+
+TEST(Parse, CountRejectsTrailingText) {
+  EXPECT_FALSE(parse_count("12abc"));
+  EXPECT_FALSE(parse_count("12 "));
+  EXPECT_FALSE(parse_count("1.5"));
+  EXPECT_FALSE(parse_count("0x10"));
+}
+
+TEST(Parse, CountRejectsEmptyAndLeadingWhitespace) {
+  EXPECT_FALSE(parse_count(""));
+  EXPECT_FALSE(parse_count(" 7"));
+  EXPECT_FALSE(parse_count("\t7"));
+}
+
+TEST(Parse, CountRejectsOverflow) {
+  EXPECT_FALSE(parse_count("18446744073709551616"));
+  EXPECT_FALSE(parse_count("99999999999999999999999"));
+}
+
+TEST(Parse, RealAcceptsSignedDecimalAndExponent) {
+  EXPECT_EQ(parse_real("0.5"), 0.5);
+  EXPECT_EQ(parse_real("-1"), -1.0);
+  EXPECT_EQ(parse_real("+2.25"), 2.25);
+  EXPECT_EQ(parse_real("1e-3"), 1e-3);
+  EXPECT_EQ(parse_real("3"), 3.0);
+}
+
+TEST(Parse, RealRejectsNonFinite) {
+  EXPECT_FALSE(parse_real("inf"));
+  EXPECT_FALSE(parse_real("-inf"));
+  EXPECT_FALSE(parse_real("nan"));
+  EXPECT_FALSE(parse_real("1e999"));
+}
+
+TEST(Parse, RealRejectsTrailingTextAndBlank) {
+  EXPECT_FALSE(parse_real(""));
+  EXPECT_FALSE(parse_real(" 1"));
+  EXPECT_FALSE(parse_real("0.5x"));
+  EXPECT_FALSE(parse_real("1.0 "));
+  EXPECT_FALSE(parse_real("abc"));
 }
 
 // ---------------------------------------------------------------- error

@@ -32,12 +32,11 @@
 # backlog while the batched fleet keeps it bounded).
 #
 # The kernel-performance sweep (blocked vs naive NT gemm, the
-# DARL_LINALG_THREADS pool-width ladder, the DARL_FAST_MATH tier, and int8
-# quantized inference) is distilled into a fifth report (default:
-# BENCH_9.json): per-cell real/CPU ns and GFLOP/s keyed by op x threads,
-# plus headlines for the blocked-vs-naive single-thread lift, pool scaling
-# efficiency, the 4-thread batch-64 fwd+bwd speedup over the per-sample
-# baseline, and the quantized-vs-exact batched inference ratio. Wall-clock
+# DARL_LINALG_THREADS pool-width ladder, and the DARL_FAST_MATH tier) is
+# distilled into a fifth report (default: BENCH_9.json): per-cell real/CPU
+# ns and GFLOP/s keyed by op x threads, plus headlines for the
+# blocked-vs-naive single-thread lift, pool scaling efficiency, and the
+# 4-thread batch-64 fwd+bwd speedup over the per-sample baseline. Wall-clock
 # thread scaling is only meaningful on a multi-core runner; the report
 # records both real and CPU time so a single-core CI box stays honest.
 #
@@ -98,14 +97,13 @@ def to_ns(b):
     scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
     return b["real_time"] * scale
 
-# Kernel-sweep benches (threads ladder, fast-math tier, naive strawman,
-# quantized inference) are distilled into BENCH_9, not this baseline.
+# Kernel-sweep benches (threads ladder, fast-math tier, naive strawman)
+# are distilled into BENCH_9, not this baseline.
 KERNEL_OPS = {
     "BM_GemmNTNaive",
     "BM_GemmNTThreads",
     "BM_GemmNTFastMath",
     "BM_MlpForwardBackwardBatchThreads",
-    "BM_MlpEvaluateBatchQuantized",
 }
 
 results = []
@@ -362,21 +360,20 @@ def ns(b, field):
     return b[field] * scale
 
 # The kernel-performance report: blocked vs naive NT gemm, the pool-width
-# ladder, the DARL_FAST_MATH tier, and int8 quantized batched inference.
-# Each record carries BOTH real and CPU ns: on a single-core runner the
-# pool's worker time is CPU-attributed but wall time cannot drop, so only
-# the CPU column shows the schedule's work distribution there; real-time
-# speedups are meaningful only on a multi-core box.
+# ladder, and the DARL_FAST_MATH tier. Each record carries BOTH real and
+# CPU ns: on a single-core runner the pool's worker time is CPU-attributed
+# but wall time cannot drop, so only the CPU column shows the schedule's
+# work distribution there; real-time speedups are meaningful only on a
+# multi-core box.
 KERNEL_OPS = {
     "BM_GemmNT",            # blocked NT at the ambient pool width (1)
     "BM_GemmNTNaive",       # pre-blocking dot-product strawman
     "BM_GemmNTThreads",     # blocked NT across pool widths 1/2/4/8
     "BM_GemmNTFastMath",    # DARL_FAST_MATH FMA tier
-    "BM_MlpForwardBatch",   # exact batched forward (quantized comparator)
+    "BM_MlpForwardBatch",   # exact batched forward
     "BM_MlpForwardBackwardBatch",
     "BM_MlpForwardBackwardBatchThreads",
     "BM_MlpForwardBackwardPerSampleLoop",
-    "BM_MlpEvaluateBatchQuantized",
 }
 
 results = []
@@ -452,14 +449,6 @@ if per_sample and t4:
     report["fwd_bwd_batch64_4t_speedup_vs_per_sample"] = per_sample / t4
 if per_sample and t1:
     report["fwd_bwd_batch64_1t_speedup_vs_per_sample"] = per_sample / t1
-
-# Headline 5: int8 quantized batched inference vs the exact forward pass
-# at the same shape (the serving fleet's evaluate path).
-for hidden, batch in ((64, 64), (128, 64)):
-    exact = real(f"BM_MlpForwardBatch/{hidden}/{batch}")
-    quant = real(f"BM_MlpEvaluateBatchQuantized/{hidden}/{batch}")
-    if exact and quant:
-        report[f"quantized_eval_speedup_h{hidden}_b{batch}"] = exact / quant
 
 with open(out_path, "w") as f:
     json.dump(report, f, indent=2)

@@ -42,13 +42,17 @@
 #                    must show low-priority shedding, both tenants
 #                    serving, per-shard queue gauges, and no shed
 #                    counter on the control lane
-#  11. distributed smoke: a darl_worker learner plus two independently
+#  11. CLI-rejection smoke: darl_serve given a malformed, signed or
+#                    out-of-contract numeric flag, or a removed flag, must
+#                    exit 1 or 2 with a message, never abort on an
+#                    uncaught exception
+#  12. distributed smoke: a darl_worker learner plus two independently
 #                    launched darl_worker actor processes train an RLlib
 #                    job over a Unix socket; the learner's /metrics must
 #                    expose the net_* transport families and a nonzero
 #                    net_staleness, both actors must exit 0, and the
 #                    learner must report the run complete
-#  12. determinism audit: the same seeded campaign run twice serially,
+#  13. determinism audit: the same seeded campaign run twice serially,
 #                    once with --parallel 4, and once with the gemm pool
 #                    at DARL_LINALG_THREADS=4 must produce byte-identical
 #                    trials CSVs — with the telemetry sampler + exporter
@@ -256,6 +260,24 @@ wait "$FLEET_PID" \
 grep -q 'self-check: all .* bitwise-identical' "$FLEET_LOG" \
   || fleet_fail "fleet self-check line missing"
 echo "fleet smoke ok: port $fleet_port, $shed_total low-priority requests shed, both tenants serving"
+
+stage "CLI-rejection smoke (darl_serve refuses bad flags, never aborts)"
+# Each bad invocation must end in a usage error (exit 2) or a reported
+# configuration error (exit 1) -- not in serving, and not in an uncaught
+# exception ("terminate called", exit 134).
+REJECT_LOG="$AUDIT_DIR/reject_serve.log"
+for bad in "--max-batch -1" "--queue-cap 12abc" "--shed-low -1" "--quantized"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  ./build/tools/darl_serve --train-timesteps 64 $bad > "$REJECT_LOG" 2>&1 \
+    || rc=$?
+  if [[ "$rc" -ne 1 && "$rc" -ne 2 ]] || grep -q 'terminate called' "$REJECT_LOG"; then
+    echo "CLI-rejection smoke FAILED: 'darl_serve $bad' exited $rc"
+    cat "$REJECT_LOG"
+    exit 1
+  fi
+done
+echo "CLI-rejection smoke ok: 4 bad invocations refused with exit 1 or 2"
 
 stage "distributed smoke (learner + 2 actor processes over a unix socket)"
 DIST_LOG="$AUDIT_DIR/dist_learner.log"

@@ -40,16 +40,6 @@
 //                       requests per client, 0 = never (default 0). The
 //                       republished spec is identical, so the bitwise
 //                       self-check keeps working across swaps.
-//   --quantized         serve through the int8 quantized inference path
-//                       (per-layer scales derived at publish time). The
-//                       self-check compares against a *quantized*
-//                       DirectPolicy, so it still demands bitwise
-//                       equality — quantization is deterministic, only
-//                       lossy versus the exact double path.
-//   --exact-tenants L   comma-separated tenant names pinned to the exact
-//                       path even under --quantized (per-tenant
-//                       fallback; their self-check reference stays the
-//                       exact DirectPolicy)
 //   --seed N            rng seed for client traffic (default 42)
 //   --obs-out PATH      write the metrics-registry snapshot as JSONL
 //   --obs-port P        live telemetry: serve /metrics (Prometheus),
@@ -67,6 +57,11 @@
 // process exit 1. In open-loop mode a Control-priority prober issues a
 // health probe every 20 ms to demonstrate that the control lane survives
 // overload. The run ends with an outcome/latency/batch-shape table.
+//
+// Numeric flags are parsed strictly: a malformed, signed (for counts) or
+// non-finite value is a usage error (exit 2). A configuration the fleet
+// itself refuses (e.g. --max-batch 0, --shed-low -1) is reported as
+// "darl_serve: <reason>" with exit 1.
 
 #include <algorithm>
 #include <atomic>
@@ -77,12 +72,14 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "darl/airdrop/airdrop_env.hpp"
 #include "darl/common/jsonl.hpp"
+#include "darl/common/parse.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stopwatch.hpp"
 #include "darl/common/table.hpp"
@@ -124,8 +121,6 @@ struct CliOptions {
   std::size_t workers = 1;
   double deadline_us = 0.0;
   std::size_t swap_every = 0;
-  bool quantized = false;
-  std::vector<std::string> exact_tenants;
   std::uint64_t seed = 42;
   std::string obs_out;
   int obs_port = -1;        ///< -1 = no exporter; 0 = ephemeral port
@@ -163,10 +158,6 @@ struct CliOptions {
       "  --deadline-us X     per-request deadline, 0 = none (default 0)\n"
       "  --swap-every N      republish after every N requests per client\n"
       "                      (0 = never; same weights, new version id)\n"
-      "  --quantized         int8 quantized inference path; the bitwise\n"
-      "                      self-check runs against a quantized reference\n"
-      "  --exact-tenants L   comma-separated tenants kept on the exact\n"
-      "                      double path even under --quantized\n"
       "  --seed N            client traffic seed            (default 42)\n"
       "  --obs-out PATH      metrics snapshot as JSONL\n"
       "  --obs-port P        expose /metrics, /snapshot.json, /healthz on\n"
@@ -244,10 +235,7 @@ void run_client(serve::Router& router, const std::string& tenant,
                 const serve::PolicySpec& spec, const env::EnvFactory& factory,
                 const CliOptions& opt, std::size_t client_index,
                 std::uint64_t seed, ClientStats& stats) {
-  // The reference must match the tenant's serving mode: quantized tenants
-  // check against the int8 batch-of-1 path, exact tenants (including
-  // --exact-tenants fallbacks under --quantized) against Mlp::evaluate.
-  serve::DirectPolicy direct(spec, router.tenant_quantized(tenant));
+  serve::DirectPolicy direct(spec);
   auto env = factory();
   env->seed(seed);
   Vec obs = env->reset();
@@ -327,10 +315,6 @@ rl::Checkpoint obtain_checkpoint(const CliOptions& opt,
   return ck;
 }
 
-std::size_t parse_size(const char* v) {
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
-
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions opt;
   auto need_value = [&](int& i) -> const char* {
@@ -340,60 +324,74 @@ CliOptions parse_cli(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // need_value advances i, so the flag name is read first.
+  auto count_value = [&](int& i) -> std::size_t {
+    const char* flag = argv[i];
+    const char* v = need_value(i);
+    const std::optional<std::uint64_t> n = parse_count(v);
+    if (!n) {
+      std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
+                   flag, v);
+      usage(2);
+    }
+    return static_cast<std::size_t>(*n);
+  };
+  auto real_value = [&](int& i) {
+    const char* flag = argv[i];
+    const char* v = need_value(i);
+    const std::optional<double> x = parse_real(v);
+    if (!x) {
+      std::fprintf(stderr, "%s needs a finite number, got '%s'\n", flag, v);
+      usage(2);
+    }
+    return *x;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--checkpoint")) opt.checkpoint = need_value(i);
     else if (!std::strcmp(a, "--save")) opt.save = need_value(i);
     else if (!std::strcmp(a, "--train-timesteps"))
-      opt.train_timesteps = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--clients")) opt.clients = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--requests")) opt.requests = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--shards")) opt.shards = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--tenants")) opt.tenants = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--quota")) opt.quota = parse_size(need_value(i));
+      opt.train_timesteps = count_value(i);
+    else if (!std::strcmp(a, "--clients")) opt.clients = count_value(i);
+    else if (!std::strcmp(a, "--requests")) opt.requests = count_value(i);
+    else if (!std::strcmp(a, "--shards")) opt.shards = count_value(i);
+    else if (!std::strcmp(a, "--tenants")) opt.tenants = count_value(i);
+    else if (!std::strcmp(a, "--quota")) opt.quota = count_value(i);
     else if (!std::strcmp(a, "--priority")) opt.priority = need_value(i);
     else if (!std::strcmp(a, "--open-loop")) opt.open_loop = true;
     else if (!std::strcmp(a, "--rate-per-s"))
-      opt.rate_per_s = std::strtod(need_value(i), nullptr);
+      opt.rate_per_s = real_value(i);
     else if (!std::strcmp(a, "--arrival")) opt.arrival = need_value(i);
     else if (!std::strcmp(a, "--shed-low"))
-      opt.shed_low = std::strtod(need_value(i), nullptr);
+      opt.shed_low = real_value(i);
     else if (!std::strcmp(a, "--shed-normal"))
-      opt.shed_normal = std::strtod(need_value(i), nullptr);
+      opt.shed_normal = real_value(i);
     else if (!std::strcmp(a, "--shed-high"))
-      opt.shed_high = std::strtod(need_value(i), nullptr);
+      opt.shed_high = real_value(i);
     else if (!std::strcmp(a, "--no-gather")) opt.gather = false;
-    else if (!std::strcmp(a, "--max-batch")) opt.max_batch = parse_size(need_value(i));
+    else if (!std::strcmp(a, "--max-batch")) opt.max_batch = count_value(i);
     else if (!std::strcmp(a, "--max-delay-us"))
-      opt.max_delay_us = std::strtod(need_value(i), nullptr);
+      opt.max_delay_us = real_value(i);
     else if (!std::strcmp(a, "--queue-cap"))
-      opt.queue_capacity = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--workers")) opt.workers = parse_size(need_value(i));
+      opt.queue_capacity = count_value(i);
+    else if (!std::strcmp(a, "--workers")) opt.workers = count_value(i);
     else if (!std::strcmp(a, "--deadline-us"))
-      opt.deadline_us = std::strtod(need_value(i), nullptr);
+      opt.deadline_us = real_value(i);
     else if (!std::strcmp(a, "--swap-every"))
-      opt.swap_every = parse_size(need_value(i));
-    else if (!std::strcmp(a, "--quantized")) opt.quantized = true;
-    else if (!std::strcmp(a, "--exact-tenants")) {
-      std::string list = need_value(i);
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        if (end > start) {
-          opt.exact_tenants.push_back(list.substr(start, end - start));
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    }
+      opt.swap_every = count_value(i);
     else if (!std::strcmp(a, "--seed"))
-      opt.seed = std::strtoull(need_value(i), nullptr, 10);
+      opt.seed = count_value(i);
     else if (!std::strcmp(a, "--obs-out")) opt.obs_out = need_value(i);
-    else if (!std::strcmp(a, "--obs-port"))
-      opt.obs_port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
+    else if (!std::strcmp(a, "--obs-port")) {
+      const std::size_t port = count_value(i);
+      if (port > 65535) {
+        std::fprintf(stderr, "--obs-port must be at most 65535\n");
+        usage(2);
+      }
+      opt.obs_port = static_cast<int>(port);
+    }
     else if (!std::strcmp(a, "--obs-linger-s"))
-      opt.obs_linger_s = std::strtod(need_value(i), nullptr);
+      opt.obs_linger_s = real_value(i);
     else if (!std::strcmp(a, "--flight-out")) opt.flight_out = need_value(i);
     else if (!std::strcmp(a, "--help")) usage(0);
     else {
@@ -428,10 +426,7 @@ CliOptions parse_cli(int argc, char** argv) {
   return opt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli(argc, argv);
+int run_fleet(const CliOptions& opt) {
   obs::set_metrics_enabled(true);
 
   if (!opt.flight_out.empty()) {
@@ -501,17 +496,7 @@ int main(int argc, char** argv) {
   router_cfg.shed_normal = opt.shed_normal;
   router_cfg.shed_high = opt.shed_high;
   router_cfg.default_quota = opt.quota;
-  router_cfg.quantized = opt.quantized;
-  router_cfg.exact_tenants = opt.exact_tenants;
   serve::Router router(store, router_cfg);
-  if (opt.quantized) {
-    std::size_t exact = 0;
-    for (const std::string& name : tenant_names) {
-      if (!router.tenant_quantized(name)) ++exact;
-    }
-    std::printf("quantized serving: int8 path on %zu/%zu tenant(s)\n",
-                tenant_names.size() - exact, tenant_names.size());
-  }
 
   std::vector<ClientStats> stats(opt.clients);
   std::vector<std::thread> clients;
@@ -677,4 +662,16 @@ int main(int argc, char** argv) {
               "direct path\n",
               total.ok);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions opt = parse_cli(argc, argv);
+  try {
+    return run_fleet(opt);
+  } catch (const darl::Error& e) {
+    std::fprintf(stderr, "darl_serve: %s\n", e.what());
+    return 1;
+  }
 }
