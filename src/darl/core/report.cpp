@@ -10,6 +10,7 @@
 #include "darl/common/ascii_plot.hpp"
 #include "darl/common/csv.hpp"
 #include "darl/common/error.hpp"
+#include "darl/common/parse.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/table.hpp"
 #include "darl/core/pareto.hpp"
@@ -197,11 +198,15 @@ LearningConfiguration parse_configuration(const ParamSpace& space,
     const ParamDomain& dom = space.domain(key);
     if (dom.is_categorical()) {
       config.set(key, val);
-    } else if (dom.is_integer()) {
-      config.set(key, static_cast<std::int64_t>(std::stoll(val)));
-    } else {
-      config.set(key, std::stod(val));
+      continue;
     }
+    std::size_t used = 0;
+    if (dom.is_integer()) {
+      config.set(key, static_cast<std::int64_t>(std::stoll(val, &used)));
+    } else {
+      config.set(key, std::stod(val, &used));
+    }
+    DARL_CHECK(used == val.size(), "trailing text in '" << piece << "'");
   }
   return config;
 }
@@ -218,6 +223,9 @@ std::optional<std::vector<TrialRecord>> load_trials_csv(std::istream& in,
   std::vector<TrialRecord> trials;
   std::string line;
   while (std::getline(in, line)) {
+    // A row without its newline is a file cut short: its last cell may be
+    // a truncated number that would still parse.
+    if (in.eof()) return std::nullopt;
     if (line.empty()) continue;
     // Parse with quote awareness (the config field is quoted when it
     // contains commas — which it does for multi-parameter configs).
@@ -249,27 +257,33 @@ std::optional<std::vector<TrialRecord>> load_trials_csv(std::istream& in,
     fields.push_back(cur);
     if (fields.size() != kFixedCols + def.metrics.size()) return std::nullopt;
 
+    // Numeric cells must be whole tokens, and metrics finite.
+    const auto id = parse_count(fields[0].c_str());
+    const auto budget = parse_real(fields[1].c_str());
+    const auto status = trial_status_from_name(fields[2]);
+    const auto attempts = parse_count(fields[3].c_str());
+    if (!id || !budget || !status || !attempts) return std::nullopt;
     TrialRecord t;
+    t.id = static_cast<std::size_t>(*id);
+    t.budget_fraction = *budget;
+    t.status = *status;
+    t.attempts = static_cast<std::size_t>(*attempts);
+    t.error = fields[4];
     try {
-      t.id = static_cast<std::size_t>(std::stoull(fields[0]));
-      t.budget_fraction = std::stod(fields[1]);
-      const auto status = trial_status_from_name(fields[2]);
-      if (!status.has_value()) return std::nullopt;
-      t.status = *status;
-      t.attempts = static_cast<std::size_t>(std::stoull(fields[3]));
-      t.error = fields[4];
       t.config = parse_configuration(def.space, fields[5]);
-      for (std::size_t j = 0; j < def.metrics.size(); ++j) {
-        const std::string& cell = fields[kFixedCols + j];
-        // Failed trials persist empty metric cells.
-        if (cell.empty()) {
-          if (t.ok()) return std::nullopt;
-          continue;
-        }
-        t.metrics[def.metrics.defs()[j].name] = std::stod(cell);
-      }
     } catch (const std::exception&) {
       return std::nullopt;
+    }
+    for (std::size_t j = 0; j < def.metrics.size(); ++j) {
+      const std::string& cell = fields[kFixedCols + j];
+      // Failed trials persist empty metric cells.
+      if (cell.empty()) {
+        if (t.ok()) return std::nullopt;
+        continue;
+      }
+      const auto value = parse_real(cell.c_str());
+      if (!value) return std::nullopt;
+      t.metrics[def.metrics.defs()[j].name] = *value;
     }
     trials.push_back(std::move(t));
   }

@@ -53,7 +53,9 @@ void write_trials_csv(std::ostream& out, const CaseStudyDef& def,
 
 /// Load trials back from CSV written by write_trials_csv. Configuration
 /// values are re-typed through the space's domains. Returns nullopt when
-/// the header does not match the case study (stale cache).
+/// the header does not match the case study (stale cache), or when a row
+/// is damaged: no trailing newline, a numeric cell that is not a whole
+/// number token, or a non-finite metric.
 std::optional<std::vector<TrialRecord>> load_trials_csv(std::istream& in,
                                                         const CaseStudyDef& def);
 

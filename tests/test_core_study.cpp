@@ -215,10 +215,9 @@ TEST(Report, CsvRoundTrip) {
   }
 }
 
-TEST(Report, CsvRoundTripIsBitExact) {
-  // Metrics with non-terminating binary expansions must survive a
-  // save->load cycle exactly: anything less flips low-order bits and can
-  // flip downstream Pareto ties between a fresh and a cache-loaded run.
+/// The synthetic study with metrics whose decimal forms run to 17 digits
+/// (the last trial's cost is 3 * 0.07 = 0.21000000000000002).
+CaseStudyDef long_decimal_study() {
   CaseStudyDef def = synthetic_study();
   def.evaluate = [](const LearningConfiguration& c, double budget,
                     std::uint64_t seed) -> MetricValues {
@@ -226,6 +225,14 @@ TEST(Report, CsvRoundTripIsBitExact) {
     const double x = static_cast<double>(c.get_integer("x"));
     return {{"quality", (x / 3.0 + 0.1) * budget}, {"cost", x * 0.07}};
   };
+  return def;
+}
+
+TEST(Report, CsvRoundTripIsBitExact) {
+  // Metrics with non-terminating binary expansions must survive a
+  // save->load cycle exactly: anything less flips low-order bits and can
+  // flip downstream Pareto ties between a fresh and a cache-loaded run.
+  const CaseStudyDef def = long_decimal_study();
   Study study(def, std::make_unique<GridSearch>(def.space, 3),
               {.seed = 1, .log_progress = false});
   study.run();
@@ -284,6 +291,67 @@ TEST(Report, CampaignCacheRejectsMismatchedKey) {
     write_trials_csv(plain, def, study.trials());
     EXPECT_FALSE(load_campaign_cache(plain, def, key).has_value());
   }
+}
+
+// A campaign cache of long_decimal_study, whose last cell is a long
+// decimal, so a cut inside it still reads as a number.
+std::pair<std::string, CampaignCacheKey> long_decimal_cache(
+    const CaseStudyDef& def) {
+  Study study(def, std::make_unique<GridSearch>(def.space, 3),
+              {.seed = 1, .log_progress = false});
+  study.run();
+  std::vector<LearningConfiguration> configs;
+  for (const auto& t : study.trials()) configs.push_back(t.config);
+  const CampaignCacheKey key{1, config_list_digest(configs)};
+  std::stringstream buf;
+  write_campaign_cache(buf, def, study.trials(), key);
+  return {buf.str(), key};
+}
+
+TEST(Report, CampaignCacheRejectsRowTruncatedMidCell) {
+  const CaseStudyDef def = long_decimal_study();
+  const auto [text, key] = long_decimal_cache(def);
+  ASSERT_EQ(text.substr(text.size() - 20), "0.21000000000000002\n");
+  {
+    std::stringstream in(text);
+    ASSERT_TRUE(load_campaign_cache(in, def, key).has_value());
+  }
+  // Cut inside the last metric cell: "0.21000000000000002" -> "0.2100".
+  std::stringstream in(text.substr(0, text.size() - 14));
+  EXPECT_FALSE(load_campaign_cache(in, def, key).has_value());
+  // The whole row intact but its newline lost is cut short too.
+  std::stringstream no_newline(text.substr(0, text.size() - 1));
+  EXPECT_FALSE(load_campaign_cache(no_newline, def, key).has_value());
+}
+
+TEST(Report, CampaignCacheRejectsTrailingGarbageInNumericCells) {
+  const CaseStudyDef def = long_decimal_study();
+  const auto [text, key] = long_decimal_cache(def);
+  // Garbage after the last metric of the last row.
+  {
+    std::string bad = text;
+    bad.insert(bad.size() - 1, "abc");
+    std::stringstream in(bad);
+    EXPECT_FALSE(load_campaign_cache(in, def, key).has_value());
+  }
+  // Garbage after the id of the first row.
+  {
+    std::string bad = text;
+    const std::size_t row = bad.find("\n0,") + 1;
+    bad.insert(row + 1, "x");
+    std::stringstream in(bad);
+    EXPECT_FALSE(load_campaign_cache(in, def, key).has_value());
+  }
+}
+
+TEST(Report, CampaignCacheRejectsNonFiniteMetricOnOkTrial) {
+  const CaseStudyDef def = long_decimal_study();
+  const auto [text, key] = long_decimal_cache(def);
+  std::string bad = text;
+  bad.replace(bad.size() - 20, 19, "nan");
+  ASSERT_EQ(bad.substr(bad.size() - 5), ",nan\n");
+  std::stringstream in(bad);
+  EXPECT_FALSE(load_campaign_cache(in, def, key).has_value());
 }
 
 TEST(Report, ConfigListDigestIsOrderAndContentSensitive) {
@@ -345,6 +413,8 @@ TEST(Report, ParseConfigurationTypesValues) {
   EXPECT_EQ(c.get_categorical("mode"), "b");
   EXPECT_EQ(c.get_integer("x"), 2);
   EXPECT_THROW(parse_configuration(def.space, "garbage"), InvalidArgument);
+  EXPECT_THROW(parse_configuration(def.space, "mode=b, x=2abc"),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -29,11 +29,11 @@
 #                    GemmBitwise suite then reruns in the same tree with
 #                    DARL_LINALG_THREADS=4 so the pool's fixed
 #                    tile-ownership schedule is raced under TSan
-#   8. smoke bench    the gemm/nn/serve/obs micro benchmarks built and run
-#                    with a near-zero time budget (BENCH_SMOKE=1
-#                    tools/bench.sh) — keeps the benches and all five
-#                    JSON distillers (incl. the BENCH_9 kernel report)
-#                    working without paying for real timings
+#   8. bench smoke:  every micro benchmark (one per bench/bench_micro_*.cpp)
+#                    run once with a near-zero time budget; any nonzero
+#                    exit fails the stage. Keeps the benches building and
+#                    running without paying for real timings (the timed
+#                    numbers come from perfbench/run.py)
 #   9. telemetry smoke: darl_serve started with --obs-port 0, its
 #                    /healthz and /metrics scraped live over /dev/tcp,
 #                    and the serve metric families asserted present
@@ -42,10 +42,11 @@
 #                    must show low-priority shedding, both tenants
 #                    serving, per-shard queue gauges, and no shed
 #                    counter on the control lane
-#  11. CLI-rejection smoke: darl_serve given a malformed, signed or
-#                    out-of-contract numeric flag, or a removed flag, must
-#                    exit 1 or 2 with a message, never abort on an
-#                    uncaught exception
+#  11. CLI-rejection smoke: darl_serve, darl_study, darl_worker and
+#                    darl_top given a malformed, signed or out-of-range
+#                    numeric flag (or darl_serve a removed flag) must exit
+#                    1 or 2 with a message, never abort on an uncaught
+#                    exception
 #  12. distributed smoke: a darl_worker learner plus two independently
 #                    launched darl_worker actor processes train an RLlib
 #                    job over a Unix socket; the learner's /metrics must
@@ -142,10 +143,17 @@ DARL_LINALG_THREADS=4 ./build-tsan/tests/test_linalg \
 AUDIT_DIR="$(mktemp -d)"
 trap 'rm -rf "$AUDIT_DIR"' EXIT
 
-stage "smoke bench (near-instant micro-kernel run)"
-BENCH_SMOKE=1 tools/bench.sh "$AUDIT_DIR/bench_smoke.json" \
-    "$AUDIT_DIR/bench_serve_smoke.json" "$AUDIT_DIR/bench_obs_smoke.json" \
-    "$AUDIT_DIR/bench_openloop_smoke.json" "$AUDIT_DIR/bench_kernel_smoke.json"
+stage "bench smoke (each micro benchmark once, near-zero time budget)"
+# The list comes from the sources, so a binary left in build/ by a deleted
+# bench is never run and a bench that failed to build is a failure.
+BENCH_LOG="$AUDIT_DIR/bench_smoke.log"
+for src in bench/bench_micro_*.cpp; do
+  bin="build/bench/$(basename "$src" .cpp)"
+  "$bin" --benchmark_min_time=0.001 > "$BENCH_LOG" 2>&1 \
+    || { echo "bench smoke FAILED: $bin exited nonzero"; cat "$BENCH_LOG"; \
+         exit 1; }
+  echo "bench smoke ok: $bin"
+done
 
 stage "telemetry smoke (darl_serve --obs-port, live scrape)"
 OBS_LOG="$AUDIT_DIR/obs_serve.log"
@@ -261,23 +269,32 @@ grep -q 'self-check: all .* bitwise-identical' "$FLEET_LOG" \
   || fleet_fail "fleet self-check line missing"
 echo "fleet smoke ok: port $fleet_port, $shed_total low-priority requests shed, both tenants serving"
 
-stage "CLI-rejection smoke (darl_serve refuses bad flags, never aborts)"
+stage "CLI-rejection smoke (the CLIs refuse bad flags, never abort)"
 # Each bad invocation must end in a usage error (exit 2) or a reported
-# configuration error (exit 1) -- not in serving, and not in an uncaught
+# configuration error (exit 1) -- not in a run, and not in an uncaught
 # exception ("terminate called", exit 134).
-REJECT_LOG="$AUDIT_DIR/reject_serve.log"
-for bad in "--max-batch -1" "--queue-cap 12abc" "--shed-low -1" "--quantized"; do
+REJECT_LOG="$AUDIT_DIR/reject_cli.log"
+rejects=0
+for bad in "darl_serve --train-timesteps 64 --max-batch -1" \
+           "darl_serve --train-timesteps 64 --queue-cap 12abc" \
+           "darl_serve --train-timesteps 64 --shed-low -1" \
+           "darl_serve --train-timesteps 64 --quantized" \
+           "darl_study --trials 12abc" \
+           "darl_study --timesteps -1" \
+           "darl_worker --role learner --nodes -1" \
+           "darl_worker --role learner --spawn-actors 2" \
+           "darl_top --port 70000"; do
   rc=0
-  # shellcheck disable=SC2086  # $bad is a flag and its value
-  ./build/tools/darl_serve --train-timesteps 64 $bad > "$REJECT_LOG" 2>&1 \
-    || rc=$?
+  # shellcheck disable=SC2086  # $bad is a tool, its flags and their values
+  ./build/tools/$bad > "$REJECT_LOG" 2>&1 || rc=$?
   if [[ "$rc" -ne 1 && "$rc" -ne 2 ]] || grep -q 'terminate called' "$REJECT_LOG"; then
-    echo "CLI-rejection smoke FAILED: 'darl_serve $bad' exited $rc"
+    echo "CLI-rejection smoke FAILED: '$bad' exited $rc"
     cat "$REJECT_LOG"
     exit 1
   fi
+  rejects=$((rejects + 1))
 done
-echo "CLI-rejection smoke ok: 4 bad invocations refused with exit 1 or 2"
+echo "CLI-rejection smoke ok: $rejects bad invocations refused with exit 1 or 2"
 
 stage "distributed smoke (learner + 2 actor processes over a unix socket)"
 DIST_LOG="$AUDIT_DIR/dist_learner.log"

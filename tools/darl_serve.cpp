@@ -72,14 +72,12 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "darl/airdrop/airdrop_env.hpp"
 #include "darl/common/jsonl.hpp"
-#include "darl/common/parse.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/common/stopwatch.hpp"
 #include "darl/common/table.hpp"
@@ -93,6 +91,7 @@
 #include "darl/serve/arrival.hpp"
 #include "darl/serve/policy_store.hpp"
 #include "darl/serve/router.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -317,82 +316,47 @@ rl::Checkpoint obtain_checkpoint(const CliOptions& opt,
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
-  // need_value advances i, so the flag name is read first.
-  auto count_value = [&](int& i) -> std::size_t {
-    const char* flag = argv[i];
-    const char* v = need_value(i);
-    const std::optional<std::uint64_t> n = parse_count(v);
-    if (!n) {
-      std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
-                   flag, v);
-      usage(2);
-    }
-    return static_cast<std::size_t>(*n);
-  };
-  auto real_value = [&](int& i) {
-    const char* flag = argv[i];
-    const char* v = need_value(i);
-    const std::optional<double> x = parse_real(v);
-    if (!x) {
-      std::fprintf(stderr, "%s needs a finite number, got '%s'\n", flag, v);
-      usage(2);
-    }
-    return *x;
-  };
+  const cli::FlagValues value(argc, argv, usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strcmp(a, "--checkpoint")) opt.checkpoint = need_value(i);
-    else if (!std::strcmp(a, "--save")) opt.save = need_value(i);
+    if (!std::strcmp(a, "--checkpoint")) opt.checkpoint = value.text(i);
+    else if (!std::strcmp(a, "--save")) opt.save = value.text(i);
     else if (!std::strcmp(a, "--train-timesteps"))
-      opt.train_timesteps = count_value(i);
-    else if (!std::strcmp(a, "--clients")) opt.clients = count_value(i);
-    else if (!std::strcmp(a, "--requests")) opt.requests = count_value(i);
-    else if (!std::strcmp(a, "--shards")) opt.shards = count_value(i);
-    else if (!std::strcmp(a, "--tenants")) opt.tenants = count_value(i);
-    else if (!std::strcmp(a, "--quota")) opt.quota = count_value(i);
-    else if (!std::strcmp(a, "--priority")) opt.priority = need_value(i);
+      opt.train_timesteps = value.count(i);
+    else if (!std::strcmp(a, "--clients")) opt.clients = value.count(i);
+    else if (!std::strcmp(a, "--requests")) opt.requests = value.count(i);
+    else if (!std::strcmp(a, "--shards")) opt.shards = value.count(i);
+    else if (!std::strcmp(a, "--tenants")) opt.tenants = value.count(i);
+    else if (!std::strcmp(a, "--quota")) opt.quota = value.count(i);
+    else if (!std::strcmp(a, "--priority")) opt.priority = value.text(i);
     else if (!std::strcmp(a, "--open-loop")) opt.open_loop = true;
     else if (!std::strcmp(a, "--rate-per-s"))
-      opt.rate_per_s = real_value(i);
-    else if (!std::strcmp(a, "--arrival")) opt.arrival = need_value(i);
+      opt.rate_per_s = value.real(i);
+    else if (!std::strcmp(a, "--arrival")) opt.arrival = value.text(i);
     else if (!std::strcmp(a, "--shed-low"))
-      opt.shed_low = real_value(i);
+      opt.shed_low = value.real(i);
     else if (!std::strcmp(a, "--shed-normal"))
-      opt.shed_normal = real_value(i);
+      opt.shed_normal = value.real(i);
     else if (!std::strcmp(a, "--shed-high"))
-      opt.shed_high = real_value(i);
+      opt.shed_high = value.real(i);
     else if (!std::strcmp(a, "--no-gather")) opt.gather = false;
-    else if (!std::strcmp(a, "--max-batch")) opt.max_batch = count_value(i);
+    else if (!std::strcmp(a, "--max-batch")) opt.max_batch = value.count(i);
     else if (!std::strcmp(a, "--max-delay-us"))
-      opt.max_delay_us = real_value(i);
+      opt.max_delay_us = value.real(i);
     else if (!std::strcmp(a, "--queue-cap"))
-      opt.queue_capacity = count_value(i);
-    else if (!std::strcmp(a, "--workers")) opt.workers = count_value(i);
+      opt.queue_capacity = value.count(i);
+    else if (!std::strcmp(a, "--workers")) opt.workers = value.count(i);
     else if (!std::strcmp(a, "--deadline-us"))
-      opt.deadline_us = real_value(i);
+      opt.deadline_us = value.real(i);
     else if (!std::strcmp(a, "--swap-every"))
-      opt.swap_every = count_value(i);
+      opt.swap_every = value.count(i);
     else if (!std::strcmp(a, "--seed"))
-      opt.seed = count_value(i);
-    else if (!std::strcmp(a, "--obs-out")) opt.obs_out = need_value(i);
-    else if (!std::strcmp(a, "--obs-port")) {
-      const std::size_t port = count_value(i);
-      if (port > 65535) {
-        std::fprintf(stderr, "--obs-port must be at most 65535\n");
-        usage(2);
-      }
-      opt.obs_port = static_cast<int>(port);
-    }
+      opt.seed = value.count(i);
+    else if (!std::strcmp(a, "--obs-out")) opt.obs_out = value.text(i);
+    else if (!std::strcmp(a, "--obs-port")) opt.obs_port = value.port(i);
     else if (!std::strcmp(a, "--obs-linger-s"))
-      opt.obs_linger_s = real_value(i);
-    else if (!std::strcmp(a, "--flight-out")) opt.flight_out = need_value(i);
+      opt.obs_linger_s = value.real(i);
+    else if (!std::strcmp(a, "--flight-out")) opt.flight_out = value.text(i);
     else if (!std::strcmp(a, "--help")) usage(0);
     else {
       std::fprintf(stderr, "unknown option '%s'\n", a);

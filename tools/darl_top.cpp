@@ -29,6 +29,7 @@
 #include "darl/common/table.hpp"
 #include "darl/obs/export.hpp"
 #include "darl/obs/percentile.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -36,7 +37,7 @@ using namespace darl;
 
 struct CliOptions {
   int port = -1;
-  int interval_ms = 500;
+  std::size_t interval_ms = 500;
   std::size_t iterations = 0;
   bool once = false;
 };
@@ -55,22 +56,12 @@ struct CliOptions {
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
+  const cli::FlagValues value(argc, argv, usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strcmp(a, "--port"))
-      opt.port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
-    else if (!std::strcmp(a, "--interval-ms"))
-      opt.interval_ms =
-          static_cast<int>(std::strtol(need_value(i), nullptr, 10));
-    else if (!std::strcmp(a, "--iterations"))
-      opt.iterations = std::strtoull(need_value(i), nullptr, 10);
+    if (!std::strcmp(a, "--port")) opt.port = value.port(i);
+    else if (!std::strcmp(a, "--interval-ms")) opt.interval_ms = value.count(i);
+    else if (!std::strcmp(a, "--iterations")) opt.iterations = value.count(i);
     else if (!std::strcmp(a, "--once")) opt.once = true;
     else if (!std::strcmp(a, "--help")) usage(0);
     else {
@@ -78,11 +69,11 @@ CliOptions parse_cli(int argc, char** argv) {
       usage(2);
     }
   }
-  if (opt.port <= 0 || opt.port > 65535) {
+  if (opt.port <= 0) {
     std::fprintf(stderr, "--port is required (1..65535)\n");
     usage(2);
   }
-  if (opt.interval_ms <= 0) opt.interval_ms = 500;
+  if (opt.interval_ms == 0) opt.interval_ms = 500;
   return opt;
 }
 
@@ -289,7 +280,7 @@ int main(int argc, char** argv) {
 
     if (!opt.once) {
       std::fputs("\x1b[2J\x1b[H", stdout);  // clear + home
-      std::printf("darl_top — 127.0.0.1:%d (refresh %dms)\n\n", opt.port,
+      std::printf("darl_top — 127.0.0.1:%d (refresh %zums)\n\n", opt.port,
                   opt.interval_ms);
     }
     std::fputs(dashboard.c_str(), stdout);

@@ -48,6 +48,7 @@
 #include "darl/frameworks/distributed.hpp"
 #include "darl/obs/export.hpp"
 #include "darl/obs/metrics.hpp"
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -88,32 +89,32 @@ struct CliOptions {
 
 CliOptions parse_args(int argc, char** argv) {
   CliOptions opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      usage(2);
-    }
-    return argv[++i];
-  };
+  const cli::FlagValues value(argc, argv, usage);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) usage(0);
-    else if (!std::strcmp(a, "--role")) opt.role = need_value(i);
-    else if (!std::strcmp(a, "--connect")) opt.connect = need_value(i);
-    else if (!std::strcmp(a, "--listen")) opt.listen = need_value(i);
-    else if (!std::strcmp(a, "--node")) opt.node = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--nodes")) opt.nodes = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--cores")) opt.cores = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--timesteps")) opt.timesteps = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--batch-total")) opt.batch_total = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--algo")) opt.algo = need_value(i);
-    else if (!std::strcmp(a, "--seed")) opt.seed = std::strtoull(need_value(i), nullptr, 10);
-    else if (!std::strcmp(a, "--spawn-actors")) opt.spawn_actors = std::strtol(need_value(i), nullptr, 10) != 0;
-    else if (!std::strcmp(a, "--obs-port"))
-      opt.obs_port = static_cast<int>(std::strtol(need_value(i), nullptr, 10));
-    else if (!std::strcmp(a, "--obs-linger-s")) opt.obs_linger_s = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--connect-timeout")) opt.connect_timeout_s = std::strtod(need_value(i), nullptr);
-    else if (!std::strcmp(a, "--io-timeout")) opt.io_timeout_s = std::strtod(need_value(i), nullptr);
+    else if (!std::strcmp(a, "--role")) opt.role = value.text(i);
+    else if (!std::strcmp(a, "--connect")) opt.connect = value.text(i);
+    else if (!std::strcmp(a, "--listen")) opt.listen = value.text(i);
+    else if (!std::strcmp(a, "--node")) opt.node = value.count(i);
+    else if (!std::strcmp(a, "--nodes")) opt.nodes = value.count(i);
+    else if (!std::strcmp(a, "--cores")) opt.cores = value.count(i);
+    else if (!std::strcmp(a, "--timesteps")) opt.timesteps = value.count(i);
+    else if (!std::strcmp(a, "--batch-total")) opt.batch_total = value.count(i);
+    else if (!std::strcmp(a, "--algo")) opt.algo = value.text(i);
+    else if (!std::strcmp(a, "--seed")) opt.seed = value.count(i);
+    else if (!std::strcmp(a, "--spawn-actors")) {
+      const std::size_t spawn = value.count(i);
+      if (spawn > 1) {
+        std::fprintf(stderr, "--spawn-actors must be 0 or 1\n");
+        usage(2);
+      }
+      opt.spawn_actors = spawn == 1;
+    }
+    else if (!std::strcmp(a, "--obs-port")) opt.obs_port = value.port(i);
+    else if (!std::strcmp(a, "--obs-linger-s")) opt.obs_linger_s = value.real(i);
+    else if (!std::strcmp(a, "--connect-timeout")) opt.connect_timeout_s = value.real(i);
+    else if (!std::strcmp(a, "--io-timeout")) opt.io_timeout_s = value.real(i);
     else if (!std::strcmp(a, "--verbose")) opt.verbose = true;
     else {
       std::fprintf(stderr, "unknown option '%s'\n", a);
