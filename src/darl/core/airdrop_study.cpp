@@ -20,10 +20,13 @@ frameworks::FrameworkKind framework_from_label(const std::string& label) {
   throw InvalidArgument("unknown framework label '" + label + "'");
 }
 
+/// The study's algorithm domain is the paper's two: PPO and SAC.
 rl::AlgoKind algo_from_label(const std::string& label) {
-  if (label == "PPO") return rl::AlgoKind::PPO;
-  if (label == "SAC") return rl::AlgoKind::SAC;
-  throw InvalidArgument("unknown algorithm label '" + label + "'");
+  const std::optional<rl::AlgoKind> kind = rl::algo_from_name(label);
+  if (!kind || *kind == rl::AlgoKind::IMPALA) {
+    throw InvalidArgument("unknown algorithm label '" + label + "'");
+  }
+  return *kind;
 }
 
 ode::RkOrder rk_from_int(std::int64_t order) {

@@ -59,9 +59,16 @@ IterationPlan plan_iterations(FrameworkKind kind, const TrainRequest& request) {
   // `steps_per_env` lockstep sweeps, so its total batch scales with the
   // core count; RLlib and TF-Agents spread a fixed total batch.
   const bool vectorized = kind == FrameworkKind::StableBaselines;
-  plan.per_worker = std::max<std::size_t>(
-      1, vectorized ? request.steps_per_env
-                    : request.train_batch_total / plan.workers);
+  if (!vectorized) {
+    DARL_CHECK(request.train_batch_total >= plan.workers,
+               framework_name(kind)
+                   << " spreads train_batch_total " << request.train_batch_total
+                   << " over " << plan.workers
+                   << " workers: it must be at least the worker count");
+  }
+  plan.per_worker = vectorized
+                        ? std::max<std::size_t>(1, request.steps_per_env)
+                        : request.train_batch_total / plan.workers;
   plan.batched_inference = vectorized;
   return plan;
 }

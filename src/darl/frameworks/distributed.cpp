@@ -25,17 +25,6 @@ namespace darl::frameworks {
 
 namespace {
 
-/// The hidden sizes the algorithm spec would build with (only the block
-/// matching `kind` is read — mirrors rl::make_algorithm).
-std::vector<std::size_t> hidden_of(const rl::AlgorithmSpec& spec) {
-  switch (spec.kind) {
-    case rl::AlgoKind::PPO: return spec.ppo.hidden;
-    case rl::AlgoKind::SAC: return spec.sac.hidden;
-    case rl::AlgoKind::IMPALA: return spec.impala.hidden;
-  }
-  throw InvalidArgument("unknown AlgoKind");
-}
-
 /// Directory holding the running executable (via /proc/self/exe), used to
 /// resolve the default darl_worker binary next to darl_study.
 std::string self_exe_dir() {
@@ -227,7 +216,7 @@ class ActorFleet final : public RemoteNodes {
     // Ship each actor its job.
     net::JobMsg job;
     job.algo = request_.algo.kind;
-    job.hidden = hidden_of(request_.algo);
+    job.hidden = request_.algo.hidden();
     job.sac_log_std_min = request_.algo.sac.log_std_min;
     job.sac_log_std_max = request_.algo.sac.log_std_max;
     job.seed = request_.seed;
@@ -277,7 +266,7 @@ class ActorFleet final : public RemoteNodes {
     // ships from.
     pserver_ = std::make_unique<net::ParamServer>(
         request_.algo.kind, plan.obs_dim, plan.action_space.action_dim(),
-        plan.action_space, hidden_of(request_.algo));
+        plan.action_space, request_.algo.hidden());
   }
 
   void publish(const Vec& params) override { pserver_->publish(params); }

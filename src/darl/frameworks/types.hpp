@@ -41,7 +41,8 @@ struct TrainRequest {
   /// backends (RLlib, TF-Agents). `steps_per_env` is Stable Baselines'
   /// per-environment rollout length (its total batch therefore scales with
   /// the number of vectorized environments — the coupling behind the
-  /// paper's solution-14 observation).
+  /// paper's solution-14 observation). RLlib and TF-Agents refuse a
+  /// `train_batch_total` below the worker count with InvalidArgument.
   std::size_t train_batch_total = 1024;
   std::size_t steps_per_env = 256;
 

@@ -62,20 +62,10 @@ T get_value(std::istream& is, const char* what) {
   return v;
 }
 
-const char* algo_tag(rl::AlgoKind kind) {
-  switch (kind) {
-    case rl::AlgoKind::PPO: return "PPO";
-    case rl::AlgoKind::SAC: return "SAC";
-    case rl::AlgoKind::IMPALA: return "IMPALA";
-  }
-  throw WireError("net: unknown AlgoKind");
-}
-
 rl::AlgoKind algo_from_tag(const std::string& tag) {
-  if (tag == "PPO") return rl::AlgoKind::PPO;
-  if (tag == "SAC") return rl::AlgoKind::SAC;
-  if (tag == "IMPALA") return rl::AlgoKind::IMPALA;
-  throw WireError("net: unknown algorithm tag '" + tag + "'");
+  const std::optional<rl::AlgoKind> kind = rl::algo_from_name(tag);
+  if (!kind) throw WireError("net: unknown algorithm tag '" + tag + "'");
+  return *kind;
 }
 
 }  // namespace
@@ -114,7 +104,7 @@ HelloMsg decode_hello(const std::string& payload) {
 
 std::string encode_job(const JobMsg& msg) {
   auto os = make_writer();
-  os << "job " << algo_tag(msg.algo) << '\n';
+  os << "job " << rl::algo_name(msg.algo) << '\n';
   os << "hidden " << msg.hidden.size();
   for (const std::size_t h : msg.hidden) os << ' ' << h;
   os << '\n';

@@ -216,10 +216,10 @@ std::vector<ParamRef> Mlp::params() {
   return out;
 }
 
-std::size_t Mlp::param_count() const {
+std::size_t Mlp::param_count(const std::vector<std::size_t>& sizes) {
   std::size_t n = 0;
-  for (std::size_t l = 0; l < weights_.size(); ++l)
-    n += weights_[l].size() + biases_[l].size();
+  for (std::size_t l = 0; l + 1 < sizes.size(); ++l)
+    n += sizes[l + 1] * sizes[l] + sizes[l + 1];
   return n;
 }
 

@@ -91,7 +91,10 @@ class Mlp {
   std::vector<ParamRef> params();
 
   /// Total number of scalar parameters.
-  std::size_t param_count() const;
+  std::size_t param_count() const { return param_count(sizes_); }
+  /// Scalar parameters of an Mlp with these layer sizes (weights plus
+  /// biases per layer), computed without constructing it.
+  static std::size_t param_count(const std::vector<std::size_t>& sizes);
 
   /// Flatten all parameters into one vector (serialization / checkpoints).
   Vec get_flat_params() const;

@@ -12,8 +12,7 @@
 
 #include <memory>
 
-#include "darl/common/error.hpp"
-#include "darl/env/space.hpp"
+#include "darl/rl/policy.hpp"
 #include "darl/rl/types.hpp"
 
 namespace darl::rl {
@@ -23,60 +22,76 @@ namespace darl::rl {
 /// its own Rng.
 class RolloutActor {
  public:
-  virtual ~RolloutActor() = default;
+  explicit RolloutActor(Policy policy) : policy_(std::move(policy)) {}
 
   /// Replace the actor's parameters with a snapshot obtained from
   /// Algorithm::policy_params().
-  virtual void set_params(const Vec& flat) = 0;
+  void set_params(const Vec& flat) { policy_.set_params(flat); }
 
   /// Sample an action (env encoding) and its log-probability.
-  virtual ActOutput act(const Vec& obs, Rng& rng) = 0;
+  ActOutput act(const Vec& obs, Rng& rng);
 
-  /// Batched act() over one observation per entry. Consumes rng draws in
-  /// ascending index order, so the results (and the rng stream afterwards)
-  /// are identical to calling act() sequentially. `out` must be pre-sized
-  /// to obs.size(); implementations write into it without allocating. The
-  /// default loops act(); batched policies override it to amortize the
-  /// network evaluation over the whole batch.
-  virtual void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                         std::vector<ActOutput>& out) {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    for (std::size_t i = 0; i < obs.size(); ++i) out[i] = act(obs[i], rng);
-  }
+  /// Batched act() over one observation per entry: one network evaluation
+  /// for the whole batch. Consumes rng draws in ascending index order, so
+  /// the results (and the rng stream afterwards) are identical to calling
+  /// act() sequentially. `out` must be pre-sized to obs.size().
+  void act_batch(const std::vector<Vec>& obs, Rng& rng,
+                 std::vector<ActOutput>& out);
 
   /// Deterministic (greedy/mode) action for evaluation.
-  virtual Vec act_greedy(const Vec& obs) = 0;
+  Vec act_greedy(const Vec& obs);
 
   /// Simulated inference cost for one act() in MFLOP-equivalents.
-  virtual double inference_cost_mflop() const = 0;
+  double inference_cost_mflop() const {
+    return policy_.net().flops_per_forward() / 1e6;
+  }
+
+ private:
+  Policy policy_;
+  Matrix obs_mat_;  // act_batch staging rows
 };
 
-/// A learning algorithm (PPO or SAC): consumes worker batches, updates its
-/// networks, and exports policy-parameter snapshots for the actors.
+/// A learning algorithm (PPO, SAC or IMPALA): consumes worker batches,
+/// updates its networks, and exports policy-parameter snapshots for the
+/// actors.
 class Algorithm {
  public:
   virtual ~Algorithm() = default;
 
   virtual AlgoKind kind() const = 0;
 
+  /// Consume one iteration's worth of collected experience and update.
+  virtual TrainStats train(const std::vector<WorkerBatch>& batches) = 0;
+
+  /// The policy being learned.
+  const Policy& policy() const { return policy_; }
+
   /// Create an inference-only actor initialized with the current policy.
-  virtual std::unique_ptr<RolloutActor> make_actor() const = 0;
+  std::unique_ptr<RolloutActor> make_actor() const {
+    return std::make_unique<RolloutActor>(policy_);
+  }
 
   /// Snapshot of the current policy parameters (flat).
-  virtual Vec policy_params() const = 0;
+  Vec policy_params() const { return policy_.params(); }
 
   /// Size of one policy-parameter snapshot in bytes (network transfer
   /// accounting for multi-node deployments).
-  virtual std::size_t params_bytes() const = 0;
+  std::size_t params_bytes() const {
+    return policy_.param_count() * sizeof(double);
+  }
 
   /// Approximate size of one serialized transition in bytes (sample
-  /// transfer accounting).
-  virtual std::size_t transition_bytes() const = 0;
+  /// transfer accounting): obs + next_obs + action + scalars, in doubles.
+  std::size_t transition_bytes() const {
+    return (2 * policy_.net().input_dim() +
+            policy_.def().action_space().action_dim() + 4) *
+           sizeof(double);
+  }
 
-  /// Consume one iteration's worth of collected experience and update.
-  virtual TrainStats train(const std::vector<WorkerBatch>& batches) = 0;
+ protected:
+  explicit Algorithm(Policy policy) : policy_(std::move(policy)) {}
+
+  Policy policy_;
 };
 
 }  // namespace darl::rl

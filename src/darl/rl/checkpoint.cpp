@@ -18,10 +18,9 @@ constexpr const char* kMagicV2 = "darl-checkpoint-v2";
 constexpr const char* kDigestKey = "fnv1a64";
 
 AlgoKind parse_algo(const std::string& algo) {
-  if (algo == "PPO") return AlgoKind::PPO;
-  if (algo == "SAC") return AlgoKind::SAC;
-  if (algo == "IMPALA") return AlgoKind::IMPALA;
-  throw CheckpointError("unknown checkpoint algorithm '" + algo + "'");
+  const std::optional<AlgoKind> kind = algo_from_name(algo);
+  if (!kind) throw CheckpointError("unknown checkpoint algorithm '" + algo + "'");
+  return *kind;
 }
 
 /// The v2 payload — everything between the magic line and the digest

@@ -22,6 +22,9 @@ struct AlgorithmSpec {
   PpoConfig ppo;
   SacConfig sac;
   ImpalaConfig impala;
+
+  /// Hidden layer sizes of the chosen algorithm's networks.
+  const std::vector<std::size_t>& hidden() const;
 };
 
 /// Instantiate the learner for an observation/action interface.

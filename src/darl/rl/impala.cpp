@@ -4,97 +4,8 @@
 #include <cmath>
 
 #include "darl/common/error.hpp"
-#include "darl/nn/distributions.hpp"
 
 namespace darl::rl {
-namespace {
-
-std::vector<std::size_t> net_sizes(std::size_t in,
-                                   const std::vector<std::size_t>& hidden,
-                                   std::size_t out) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(in);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(out);
-  return sizes;
-}
-
-/// Inference-only IMPALA policy (identical mechanics to the PPO actor).
-class ImpalaActor final : public RolloutActor {
- public:
-  ImpalaActor(const nn::Mlp& net, Vec log_std, env::ActionSpace space)
-      : net_(net), log_std_(std::move(log_std)), space_(std::move(space)) {}
-
-  void set_params(const Vec& flat) override {
-    const std::size_t n = net_.param_count();
-    DARL_CHECK(flat.size() == n + log_std_.size(),
-               "IMPALA actor snapshot has " << flat.size() << " values");
-    Vec net_part(flat.begin(), flat.begin() + static_cast<std::ptrdiff_t>(n));
-    net_.set_flat_params(net_part);
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(n), flat.end(),
-              log_std_.begin());
-  }
-
-  ActOutput act(const Vec& obs, Rng& rng) override {
-    const Vec head = net_.evaluate(obs);
-    return sample_from_head(head, rng);
-  }
-
-  void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                 std::vector<ActOutput>& out) override {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    if (obs.empty()) return;
-    obs_mat_.reshape(obs.size(), net_.input_dim());
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      std::copy(obs[i].begin(), obs[i].end(), obs_mat_.row(i));
-    }
-    const Matrix& heads = net_.evaluate_batch(obs_mat_);
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      head_scratch_.assign(heads.row(i), heads.row(i) + net_.output_dim());
-      out[i] = sample_from_head(head_scratch_, rng);
-    }
-  }
-
-  Vec act_greedy(const Vec& obs) override {
-    const Vec head = net_.evaluate(obs);
-    if (space_.is_discrete()) {
-      const Vec p = nn::Categorical::softmax(head);
-      return space_.discrete().encode(static_cast<std::size_t>(
-          std::max_element(p.begin(), p.end()) - p.begin()));
-    }
-    return space_.box().clip(head);
-  }
-
-  double inference_cost_mflop() const override {
-    return net_.flops_per_forward() / 1e6;
-  }
-
- private:
-  /// Shared sampling math for act()/act_batch().
-  ActOutput sample_from_head(const Vec& head, Rng& rng) {
-    ActOutput out;
-    if (space_.is_discrete()) {
-      const std::size_t a = nn::Categorical::sample(head, rng);
-      out.action = space_.discrete().encode(a);
-      out.log_prob = nn::Categorical::log_prob(head, a);
-    } else {
-      const Vec raw = nn::DiagGaussian::sample(head, log_std_, rng);
-      out.log_prob = nn::DiagGaussian::log_prob(head, log_std_, raw);
-      out.action = space_.box().clip(raw);
-    }
-    return out;
-  }
-
-  nn::Mlp net_;
-  Vec log_std_;
-  env::ActionSpace space_;
-  Matrix obs_mat_;  // act_batch staging rows
-  Vec head_scratch_;
-};
-
-}  // namespace
 
 VtraceResult compute_vtrace(const std::vector<Transition>& stream,
                             const std::vector<double>& log_ratio,
@@ -150,128 +61,42 @@ VtraceResult compute_vtrace(const std::vector<Transition>& stream,
 ImpalaAlgorithm::ImpalaAlgorithm(std::size_t obs_dim,
                                  env::ActionSpace action_space,
                                  ImpalaConfig config, std::uint64_t seed)
-    : obs_dim_(obs_dim),
-      action_space_(std::move(action_space)),
-      config_(std::move(config)),
-      rng_(seed),
-      actor_([&] {
-        Rng init = rng_.split(1);
-        return nn::Mlp(net_sizes(obs_dim, config_.hidden,
-                                 action_space_.is_discrete()
-                                     ? action_space_.discrete().n()
-                                     : action_space_.box().dim()),
-                       nn::Activation::Tanh, init);
-      }()),
-      critic_([&] {
-        Rng init = rng_.split(2);
-        return nn::Mlp(net_sizes(obs_dim, config_.hidden, 1),
-                       nn::Activation::Tanh, init);
-      }()) {
-  DARL_CHECK(obs_dim > 0, "obs_dim must be positive");
-  if (action_space_.is_box()) {
-    log_std_.assign(action_space_.box().dim(), config_.log_std_init);
-    log_std_grad_.assign(log_std_.size(), 0.0);
-  }
-  auto actor_params = actor_.params();
-  if (!log_std_.empty()) {
-    actor_params.push_back(nn::ParamRef{&log_std_, &log_std_grad_, "log_std"});
-  }
-  actor_opt_ = std::make_unique<nn::Adam>(actor_params, config_.learning_rate);
-  critic_opt_ = std::make_unique<nn::Adam>(critic_.params(), config_.learning_rate);
-}
-
-std::unique_ptr<RolloutActor> ImpalaAlgorithm::make_actor() const {
-  return std::make_unique<ImpalaActor>(actor_, log_std_, action_space_);
-}
-
-Vec ImpalaAlgorithm::policy_params() const {
-  Vec flat = actor_.get_flat_params();
-  flat.insert(flat.end(), log_std_.begin(), log_std_.end());
-  return flat;
-}
-
-std::size_t ImpalaAlgorithm::params_bytes() const {
-  return (actor_.param_count() + log_std_.size()) * sizeof(double);
-}
-
-std::size_t ImpalaAlgorithm::transition_bytes() const {
-  return (2 * obs_dim_ + action_space_.action_dim() + 4) * sizeof(double);
-}
-
-double ImpalaAlgorithm::value(const Vec& obs) const {
-  return critic_.evaluate(obs)[0];
-}
+    : ActorCritic(AlgoKind::IMPALA, obs_dim, std::move(action_space),
+                  config.hidden, config.log_std_init, config.learning_rate,
+                  seed),
+      config_(std::move(config)) {}
 
 TrainStats ImpalaAlgorithm::train(const std::vector<WorkerBatch>& batches) {
   TrainStats stats;
 
   // Single pass over every stream: compute V-trace targets with the
   // current networks, then accumulate one policy and one value gradient.
-  actor_.zero_grad();
-  std::fill(log_std_grad_.begin(), log_std_grad_.end(), 0.0);
-  critic_.zero_grad();
+  zero_grad();
 
   std::size_t total = 0;
   for (const auto& b : batches) total += b.transitions.size();
   if (total == 0) return stats;
   const double scale = 1.0 / static_cast<double>(total);
 
+  nn::Mlp& actor = policy_.net();
   double policy_loss = 0.0, value_loss = 0.0, entropy_sum = 0.0;
   double value_evals = 0.0;
+  std::vector<double> values, boots, log_ratio, logp_new;
 
   for (const auto& batch : batches) {
     const auto& stream = batch.transitions;
     if (stream.empty()) continue;
 
+    // V-trace inputs via batched evaluation: the critic over the stream
+    // and its bootstrap rows, one actor pass for the current log-probs.
     const std::size_t n = stream.size();
-    std::vector<double> values(n);
-    std::vector<double> boots(n);
-    std::vector<double> log_ratio(n);
-    std::vector<double> logp_new(n);
-
-    // V-trace inputs via batched evaluation: one critic pass over the
-    // stream, one over the bootstrap rows, one actor pass for the current
-    // log-probs. Bitwise identical to the old per-sample loop.
-    st_obs_.reshape(n, obs_dim_);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::copy(stream[i].obs.begin(), stream[i].obs.end(), st_obs_.row(i));
-    }
+    value_evals += evaluate_stream(stream, values, boots);
+    log_ratio.resize(n);
+    logp_new.resize(n);
     {
-      const Matrix& v = critic_.evaluate_batch(st_obs_);
-      for (std::size_t i = 0; i < n; ++i) values[i] = v(i, 0);
-    }
-    boot_idx_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      value_evals += 1.0;
-      boots[i] = 0.0;  // unused mid-stream
-      if (i + 1 == n || stream[i].done()) {
-        if (!stream[i].terminated) boot_idx_.push_back(i);
-        value_evals += 1.0;
-      }
-    }
-    if (!boot_idx_.empty()) {
-      st_boot_obs_.reshape(boot_idx_.size(), obs_dim_);
-      for (std::size_t k = 0; k < boot_idx_.size(); ++k) {
-        const Vec& nobs = stream[boot_idx_[k]].next_obs;
-        std::copy(nobs.begin(), nobs.end(), st_boot_obs_.row(k));
-      }
-      const Matrix& v = critic_.evaluate_batch(st_boot_obs_);
-      for (std::size_t k = 0; k < boot_idx_.size(); ++k)
-        boots[boot_idx_[k]] = v(k, 0);
-    }
-    const std::size_t head_dim = actor_.output_dim();
-    {
-      const Matrix& heads = actor_.evaluate_batch(st_obs_);
+      const Matrix& heads = actor.evaluate_batch(stream_obs_);
       for (std::size_t i = 0; i < n; ++i) {
-        head_scratch_.assign(heads.row(i), heads.row(i) + head_dim);
-        if (action_space_.is_discrete()) {
-          const std::size_t a =
-              action_space_.discrete().decode(stream[i].action);
-          logp_new[i] = nn::Categorical::log_prob(head_scratch_, a);
-        } else {
-          logp_new[i] = nn::DiagGaussian::log_prob(head_scratch_, log_std_,
-                                                   stream[i].action);
-        }
+        logp_new[i] = policy_.log_prob(heads.row(i), stream[i].action);
         log_ratio[i] = logp_new[i] - stream[i].log_prob;
       }
     }
@@ -281,36 +106,17 @@ TrainStats ImpalaAlgorithm::train(const std::vector<WorkerBatch>& batches) {
                        config_.rho_clip, config_.c_clip);
 
     // One actor and one critic forward/backward batch per stream; gradients
-    // keep accumulating across streams exactly as the per-sample calls did
-    // (gemm seeds each element from the existing gradient value).
-    const Matrix& heads = actor_.forward_batch(st_obs_);
-    const Matrix& vals = critic_.forward_batch(st_obs_);
-    st_dhead_.reshape(n, head_dim);
+    // keep accumulating across streams (gemm seeds each element from the
+    // existing gradient value).
+    const Matrix& heads = actor.forward_batch(stream_obs_);
+    const Matrix& vals = critic_.forward_batch(stream_obs_);
+    st_dhead_.reshape(n, actor.output_dim());
     st_dv_.reshape(n, 1);
     for (std::size_t i = 0; i < n; ++i) {
-      const Transition& tr = stream[i];
       // Policy gradient: -pg_adv * grad logp - entropy bonus.
-      head_scratch_.assign(heads.row(i), heads.row(i) + head_dim);
-      double* d_head = st_dhead_.row(i);
-      if (action_space_.is_discrete()) {
-        const std::size_t a = action_space_.discrete().decode(tr.action);
-        const Vec g_logp = nn::Categorical::log_prob_grad(head_scratch_, a);
-        const Vec g_ent = nn::Categorical::entropy_grad(head_scratch_);
-        entropy_sum += nn::Categorical::entropy(head_scratch_);
-        for (std::size_t j = 0; j < head_dim; ++j) {
-          d_head[j] = scale * (-vt.pg_adv[i] * g_logp[j] -
-                               config_.entropy_coef * g_ent[j]);
-        }
-      } else {
-        nn::DiagGaussian::log_prob_grad(head_scratch_, log_std_, tr.action,
-                                        d_mean_, d_log_std_);
-        entropy_sum += nn::DiagGaussian::entropy(log_std_);
-        for (std::size_t j = 0; j < head_dim; ++j) {
-          d_head[j] = scale * -vt.pg_adv[i] * d_mean_[j];
-          log_std_grad_[j] += scale * (-vt.pg_adv[i] * d_log_std_[j] -
-                                       config_.entropy_coef);
-        }
-      }
+      policy_.score_grad(heads.row(i), stream[i].action, -vt.pg_adv[i],
+                         config_.entropy_coef, scale, st_dhead_.row(i));
+      entropy_sum += policy_.entropy(heads.row(i));
       policy_loss += -vt.pg_adv[i] * logp_new[i];
 
       // Value regression toward vs.
@@ -318,25 +124,17 @@ TrainStats ImpalaAlgorithm::train(const std::vector<WorkerBatch>& batches) {
       value_loss += 0.5 * verr * verr;
       st_dv_.row(i)[0] = scale * config_.value_coef * verr;
     }
-    actor_.backward_batch(st_dhead_);
+    actor.backward_batch(st_dhead_);
     critic_.backward_batch(st_dv_);
   }
-
-  auto actor_params = actor_.params();
-  if (!log_std_.empty()) {
-    actor_params.push_back(nn::ParamRef{&log_std_, &log_std_grad_, "log_std"});
-  }
-  nn::clip_grad_norm(actor_params, config_.max_grad_norm);
-  nn::clip_grad_norm(critic_.params(), config_.max_grad_norm);
-  actor_opt_->step();
-  critic_opt_->step();
+  clip_and_step(config_.max_grad_norm);
 
   stats.samples = total;
   stats.gradient_steps = 1;
   stats.policy_loss = policy_loss / static_cast<double>(total);
   stats.value_loss = value_loss / static_cast<double>(total);
   stats.entropy = entropy_sum / static_cast<double>(total);
-  const double af = actor_.flops_per_forward();
+  const double af = actor.flops_per_forward();
   const double cf = critic_.flops_per_forward();
   // Per sample: one actor eval + one actor fwd+bwd + one critic eval for
   // targets + one critic fwd+bwd.

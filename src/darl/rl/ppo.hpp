@@ -9,13 +9,9 @@
 
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <vector>
 
-#include "darl/common/rng.hpp"
-#include "darl/nn/mlp.hpp"
-#include "darl/nn/optimizer.hpp"
-#include "darl/rl/algorithm.hpp"
+#include "darl/rl/actor_critic.hpp"
 
 namespace darl::rl {
 
@@ -40,56 +36,27 @@ struct PpoConfig {
 };
 
 /// PPO learner. See Algorithm for the role split.
-class PpoAlgorithm final : public Algorithm {
+class PpoAlgorithm final : public ActorCritic {
  public:
   PpoAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                PpoConfig config, std::uint64_t seed);
 
   AlgoKind kind() const override { return AlgoKind::PPO; }
-  std::unique_ptr<RolloutActor> make_actor() const override;
-  Vec policy_params() const override;
-  std::size_t params_bytes() const override;
-  std::size_t transition_bytes() const override;
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
-  const PpoConfig& config() const { return config_; }
-  const env::ActionSpace& action_space() const { return action_space_; }
-
-  /// Critic value estimate for an observation (exposed for tests).
-  double value(const Vec& obs) const;
-
-  /// Mean approximate KL of the last train() call (diagnostics).
-  double last_approx_kl() const { return last_kl_; }
-
  private:
-  friend class PpoActor;
-
   struct Sample {
     const Transition* t = nullptr;
     double advantage = 0.0;
     double ret = 0.0;
   };
 
-  std::size_t obs_dim_;
-  env::ActionSpace action_space_;
   PpoConfig config_;
-  Rng rng_;
-
-  nn::Mlp actor_;
-  Vec log_std_;       // continuous head only
-  Vec log_std_grad_;
-  nn::Mlp critic_;
-  std::unique_ptr<nn::Adam> actor_opt_;
-  std::unique_ptr<nn::Adam> critic_opt_;
-  double last_kl_ = 0.0;
 
   // Reusable staging buffers for the batched kernels. Capacity grows to
-  // the largest stream / minibatch seen, then train() runs allocation-free
-  // apart from the sample index vectors.
-  Matrix gae_obs_;
+  // the largest minibatch seen, then the epochs run allocation-free in
+  // the network hot path.
   Matrix mb_obs_, mb_dhead_, mb_dv_;
-  std::vector<std::size_t> boot_idx_;
-  Vec head_scratch_, d_mean_, d_log_std_;
 };
 
 }  // namespace darl::rl

@@ -9,34 +9,8 @@
 namespace darl::rl {
 namespace {
 
-std::vector<std::size_t> actor_sizes(std::size_t obs_dim, std::size_t act_dim,
-                                     const std::vector<std::size_t>& hidden) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(obs_dim);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(2 * act_dim);
-  return sizes;
-}
-
-std::vector<std::size_t> critic_sizes(std::size_t obs_dim, std::size_t act_dim,
-                                      const std::vector<std::size_t>& hidden) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(obs_dim + act_dim);
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  sizes.push_back(1);
-  return sizes;
-}
-
-/// Affine map between the squashed action in [-1,1]^d and the env box.
-Vec scale_to_box(const Vec& squashed, const env::BoxSpace& box) {
-  Vec out(squashed.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = box.low()[i] +
-             0.5 * (squashed[i] + 1.0) * (box.high()[i] - box.low()[i]);
-  }
-  return out;
-}
-
+/// Inverse of the SAC head's affine map from the squashed action in
+/// [-1,1]^d into the env box.
 Vec unscale_from_box(const Vec& env_action, const env::BoxSpace& box) {
   Vec out(env_action.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -49,107 +23,25 @@ Vec unscale_from_box(const Vec& env_action, const env::BoxSpace& box) {
   return out;
 }
 
-Vec concat(const Vec& a, const Vec& b) {
-  Vec out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
-/// Inference-only SAC policy for rollout workers.
-class SacActor final : public RolloutActor {
- public:
-  SacActor(const nn::Mlp& actor, env::BoxSpace box, double log_std_min,
-           double log_std_max)
-      : net_(actor), box_(std::move(box)), lo_(log_std_min), hi_(log_std_max) {}
-
-  void set_params(const Vec& flat) override { net_.set_flat_params(flat); }
-
-  ActOutput act(const Vec& obs, Rng& rng) override {
-    const Vec head = net_.evaluate(obs);
-    return sample_from_head(head, rng);
-  }
-
-  void act_batch(const std::vector<Vec>& obs, Rng& rng,
-                 std::vector<ActOutput>& out) override {
-    DARL_CHECK(out.size() == obs.size(),
-               "act_batch: out has " << out.size() << " slots for "
-                                     << obs.size() << " observations");
-    if (obs.empty()) return;
-    obs_mat_.reshape(obs.size(), net_.input_dim());
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      std::copy(obs[i].begin(), obs[i].end(), obs_mat_.row(i));
-    }
-    const Matrix& heads = net_.evaluate_batch(obs_mat_);
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      head_scratch_.assign(heads.row(i), heads.row(i) + net_.output_dim());
-      out[i] = sample_from_head(head_scratch_, rng);
-    }
-  }
-
-  Vec act_greedy(const Vec& obs) override {
-    const Vec head = net_.evaluate(obs);
-    const std::size_t d = head.size() / 2;
-    Vec mean(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(d));
-    return scale_to_box(nn::SquashedGaussian::mode(mean), box_);
-  }
-
-  double inference_cost_mflop() const override {
-    return net_.flops_per_forward() / 1e6;
-  }
-
- private:
-  /// Shared sampling math for act()/act_batch(): split the head into mean
-  /// and softly clamped log-std, draw, scale into the env box.
-  ActOutput sample_from_head(const Vec& head, Rng& rng) {
-    const std::size_t d = head.size() / 2;
-    Vec mean(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(d));
-    Vec log_std(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      log_std[i] = lo_ + 0.5 * (hi_ - lo_) * (std::tanh(head[d + i]) + 1.0);
-    }
-    const auto draw = nn::SquashedGaussian::sample(mean, log_std, rng);
-    ActOutput out;
-    out.action = scale_to_box(draw.action, box_);
-    out.log_prob = draw.log_prob;
-    return out;
-  }
-
-  nn::Mlp net_;
-  env::BoxSpace box_;
-  double lo_, hi_;
-  Matrix obs_mat_;  // act_batch staging rows
-  Vec head_scratch_;
-};
-
 }  // namespace
 
 SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                            SacConfig config, std::uint64_t seed)
-    : obs_dim_(obs_dim),
-      act_dim_([&] {
-        DARL_CHECK(action_space.is_box(),
-                   "SAC requires a continuous action space, got "
-                       << action_space.describe());
-        return action_space.box().dim();
-      }()),
-      action_space_(std::move(action_space)),
+    : Algorithm(Policy(PolicyDef(AlgoKind::SAC, std::move(action_space),
+                                 config.log_std_min, config.log_std_max),
+                       obs_dim, config.hidden, Rng(seed).split(1))),
+      obs_dim_(obs_dim),
+      act_dim_(policy_.def().action_space().box().dim()),
       config_(std::move(config)),
       rng_(seed),
-      actor_([&] {
-        Rng init = rng_.split(1);
-        return nn::Mlp(actor_sizes(obs_dim, act_dim_, config_.hidden),
-                       nn::Activation::ReLU, init);
-      }()),
       q1_([&] {
         Rng init = rng_.split(2);
-        return nn::Mlp(critic_sizes(obs_dim, act_dim_, config_.hidden),
+        return nn::Mlp(layer_sizes(obs_dim + act_dim_, config_.hidden, 1),
                        nn::Activation::ReLU, init);
       }()),
       q2_([&] {
         Rng init = rng_.split(3);
-        return nn::Mlp(critic_sizes(obs_dim, act_dim_, config_.hidden),
+        return nn::Mlp(layer_sizes(obs_dim + act_dim_, config_.hidden, 1),
                        nn::Activation::ReLU, init);
       }()),
       q1_target_(q1_),
@@ -165,7 +57,7 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
   // widely (standard SAC behaviour via start-steps random acting; here the
   // same effect comes from a broad initial Gaussian).
   {
-    auto params = actor_.params();
+    auto params = policy_.net().params();
     Vec& last_bias = *params[params.size() - 1].value;
     DARL_ASSERT(last_bias.size() == 2 * act_dim_, "unexpected actor head size");
     for (std::size_t i = 0; i < act_dim_; ++i) last_bias[act_dim_ + i] = 0.5;
@@ -182,7 +74,8 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
                         ? config_.target_entropy
                         : -static_cast<double>(act_dim_);
 
-  actor_opt_ = std::make_unique<nn::Adam>(actor_.params(), config_.learning_rate);
+  actor_opt_ = std::make_unique<nn::Adam>(policy_.param_refs(),
+                                          config_.learning_rate);
   q1_opt_ = std::make_unique<nn::Adam>(q1_.params(), config_.learning_rate);
   q2_opt_ = std::make_unique<nn::Adam>(q2_.params(), config_.learning_rate);
   alpha_opt_ = std::make_unique<nn::Adam>(
@@ -191,36 +84,6 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
 }
 
 double SacAlgorithm::alpha() const { return std::exp(log_alpha_[0]); }
-
-std::unique_ptr<RolloutActor> SacAlgorithm::make_actor() const {
-  return std::make_unique<SacActor>(actor_, action_space_.box(),
-                                    config_.log_std_min, config_.log_std_max);
-}
-
-Vec SacAlgorithm::policy_params() const { return actor_.get_flat_params(); }
-
-std::size_t SacAlgorithm::params_bytes() const {
-  return actor_.param_count() * sizeof(double);
-}
-
-std::size_t SacAlgorithm::transition_bytes() const {
-  return (2 * obs_dim_ + act_dim_ + 4) * sizeof(double);
-}
-
-void SacAlgorithm::split_head(const Vec& head, Vec& mean, Vec& log_std) const {
-  mean.assign(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(act_dim_));
-  log_std.resize(act_dim_);
-  for (std::size_t i = 0; i < act_dim_; ++i) {
-    log_std[i] = config_.log_std_min +
-                 0.5 * (config_.log_std_max - config_.log_std_min) *
-                     (std::tanh(head[act_dim_ + i]) + 1.0);
-  }
-}
-
-double SacAlgorithm::q_value(const Vec& obs, const Vec& squashed_action) {
-  const Vec in = concat(obs, squashed_action);
-  return std::min(q1_.evaluate(in)[0], q2_.evaluate(in)[0]);
-}
 
 void SacAlgorithm::polyak_update() {
   const double tau = config_.tau;
@@ -238,6 +101,8 @@ void SacAlgorithm::polyak_update() {
 }
 
 void SacAlgorithm::one_update(TrainStats& stats) {
+  nn::Mlp& actor = policy_.net();
+  const PolicyDef& def = policy_.def();
   // Uniform or prioritized sampling; with PER the critic regression is
   // importance-weighted and TD errors feed back as priorities.
   std::vector<const Transition*> batch;
@@ -270,13 +135,12 @@ void SacAlgorithm::one_update(TrainStats& stats) {
       const Vec& nobs = batch[nonterm_idx_[k]]->next_obs;
       std::copy(nobs.begin(), nobs.end(), mb_obs_.row(k));
     }
-    const Matrix& heads = actor_.evaluate_batch(mb_obs_);
+    const Matrix& heads = actor.evaluate_batch(mb_obs_);
     mb_qin_.reshape(nonterm_idx_.size(), obs_dim_ + act_dim_);
     tgt_logp_.resize(nonterm_idx_.size());
     for (std::size_t k = 0; k < nonterm_idx_.size(); ++k) {
       const Transition& tr = *batch[nonterm_idx_[k]];
-      head_scratch_.assign(heads.row(k), heads.row(k) + 2 * act_dim_);
-      split_head(head_scratch_, mean_scratch_, log_std_scratch_);
+      def.split(heads.row(k), mean_scratch_, log_std_scratch_);
       const auto draw =
           nn::SquashedGaussian::sample(mean_scratch_, log_std_scratch_, rng_);
       double* qrow = mb_qin_.row(k);
@@ -306,7 +170,7 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Transition& tr = *batch[i];
-    const Vec squashed = unscale_from_box(tr.action, action_space_.box());
+    const Vec squashed = unscale_from_box(tr.action, def.action_space().box());
     double* qrow = mb_qin_.row(i);
     std::copy(tr.obs.begin(), tr.obs.end(), qrow);
     std::copy(squashed.begin(), squashed.end(), qrow + obs_dim_);
@@ -337,21 +201,20 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   // order, one batched q1/q2 evaluation to pick the smaller critic, then
   // one forward/backward batch per chosen-critic group to pull dQ/da out
   // of the critic input gradients, and a single actor backward batch.
-  actor_.zero_grad();
+  actor.zero_grad();
   double logp_sum = 0.0;
   mb_obs_.reshape(batch.size(), obs_dim_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     std::copy(batch[i]->obs.begin(), batch[i]->obs.end(), mb_obs_.row(i));
   }
-  const Matrix& heads = actor_.forward_batch(mb_obs_);
+  const Matrix& heads = actor.forward_batch(mb_obs_);
   draws_.resize(batch.size());
   means_.resize(batch.size());
   log_stds_.resize(batch.size());
   mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Transition& tr = *batch[i];
-    head_scratch_.assign(heads.row(i), heads.row(i) + 2 * act_dim_);
-    split_head(head_scratch_, means_[i], log_stds_[i]);
+    def.split(heads.row(i), means_[i], log_stds_[i]);
     draws_[i] = nn::SquashedGaussian::sample(means_[i], log_stds_[i], rng_);
     logp_sum += draws_[i].log_prob;
     double* qrow = mb_qin_.row(i);
@@ -404,14 +267,12 @@ void SacAlgorithm::one_update(TrainStats& stats) {
     double* dh = mb_dhead_.row(i);
     for (std::size_t j = 0; j < act_dim_; ++j) {
       dh[j] = inv_b * d_mean_[j];
-      const double t = std::tanh(heads(i, act_dim_ + j));
-      const double dclamp =
-          0.5 * (config_.log_std_max - config_.log_std_min) * (1.0 - t * t);
-      dh[act_dim_ + j] = inv_b * d_log_std_[j] * dclamp;
+      dh[act_dim_ + j] = inv_b * d_log_std_[j] *
+                         def.log_std_clamp_grad(heads(i, act_dim_ + j));
     }
   }
-  actor_.backward_batch(mb_dhead_);
-  nn::clip_grad_norm(actor_.params(), config_.max_grad_norm);
+  actor.backward_batch(mb_dhead_);
+  nn::clip_grad_norm(actor.params(), config_.max_grad_norm);
   actor_opt_->step();
 
   // --- 4) Temperature update: J(alpha) = E[-alpha (logp + target_entropy)].
@@ -427,7 +288,7 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   stats.entropy += -mean_logp;
 
   // Simulated compute cost of this update.
-  const double af = actor_.flops_per_forward();
+  const double af = actor.flops_per_forward();
   const double qf = q1_.flops_per_forward();
   const double b = static_cast<double>(batch.size());
   // targets: actor fwd + 2 target fwd; critics: 2 * (fwd + bwd);

@@ -38,8 +38,8 @@ struct SacConfig {
   double init_alpha = 0.2;
   double max_grad_norm = 10.0;
   /// Soft bounds for the state-dependent log-std head.
-  double log_std_min = -5.0;
-  double log_std_max = 2.0;
+  double log_std_min = kSacLogStdMin;
+  double log_std_max = kSacLogStdMax;
   /// Use proportional prioritized replay (the Ape-X ingredient, paper
   /// §II-A) instead of uniform sampling. Critic updates are corrected with
   /// importance-sampling weights and priorities track TD errors.
@@ -56,35 +56,22 @@ class SacAlgorithm final : public Algorithm {
                SacConfig config, std::uint64_t seed);
 
   AlgoKind kind() const override { return AlgoKind::SAC; }
-  std::unique_ptr<RolloutActor> make_actor() const override;
-  Vec policy_params() const override;
-  std::size_t params_bytes() const override;
-  std::size_t transition_bytes() const override;
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
-  const SacConfig& config() const { return config_; }
   double alpha() const;
   std::size_t replay_size() const {
     return per_ ? per_->size() : replay_.size();
   }
 
-  /// Q-value estimate min(Q1, Q2)(obs, squashed_action) for tests.
-  double q_value(const Vec& obs, const Vec& squashed_action);
-
  private:
-  /// Split an actor head output into mean and softly clamped log-std.
-  void split_head(const Vec& head, Vec& mean, Vec& log_std) const;
-
   void polyak_update();
   void one_update(TrainStats& stats);
 
   std::size_t obs_dim_;
   std::size_t act_dim_;
-  env::ActionSpace action_space_;
   SacConfig config_;
   Rng rng_;
 
-  nn::Mlp actor_;    // obs -> [mean, raw_log_std]
   nn::Mlp q1_, q2_;  // [obs, action] -> scalar
   nn::Mlp q1_target_, q2_target_;
   Vec log_alpha_, log_alpha_grad_;
@@ -104,7 +91,7 @@ class SacAlgorithm final : public Algorithm {
   std::vector<nn::SquashedGaussian::Draw> draws_;
   std::vector<Vec> means_, log_stds_;
   std::vector<double> tgt_logp_;
-  Vec head_scratch_, mean_scratch_, log_std_scratch_;
+  Vec mean_scratch_, log_std_scratch_;
   Vec d_mean_, d_log_std_, grad_action_;
 };
 

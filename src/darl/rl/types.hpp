@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "darl/linalg/vec.hpp"
@@ -56,7 +58,11 @@ struct TrainStats {
 /// (§V-b); IMPALA/V-trace is provided as the §II-A architecture extension.
 enum class AlgoKind { PPO, SAC, IMPALA };
 
-/// Name for reports ("PPO"/"SAC").
+/// Name for reports, wire messages and checkpoints ("PPO"/"SAC"/"IMPALA").
 const char* algo_name(AlgoKind kind);
+
+/// Inverse of algo_name; nullopt for an unknown name (each caller raises
+/// its own error type).
+std::optional<AlgoKind> algo_from_name(std::string_view name);
 
 }  // namespace darl::rl

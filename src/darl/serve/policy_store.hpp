@@ -34,19 +34,14 @@
 #include "darl/env/space.hpp"
 #include "darl/nn/mlp.hpp"
 #include "darl/rl/checkpoint.hpp"
+#include "darl/rl/policy.hpp"
 
 namespace darl::serve {
 
-/// How a policy-head row is turned into a greedy action (env encoding).
-/// Each recipe replicates the corresponding actor's act_greedy() math
-/// exactly, so a served action is bitwise-identical to the training-side
-/// greedy decision for the same head.
-enum class GreedyDecode {
-  Raw,              ///< action = head (no action space involved)
-  ArgmaxDiscrete,   ///< softmax argmax, encoded (PPO/IMPALA discrete)
-  ClipBox,          ///< box-clipped head (PPO/IMPALA continuous)
-  SquashedMeanBox,  ///< tanh(mean half), scaled into the box (SAC)
-};
+/// How a policy-head row is turned into a greedy action (env encoding):
+/// the rl policy head the network was trained with, so a served action is
+/// the training-side greedy decision for the same head.
+using GreedyDecode = rl::HeadKind;
 
 /// Everything needed to serve one policy: the Mlp architecture, its flat
 /// parameters, and the decode recipe. Immutable once published.
@@ -54,26 +49,26 @@ struct PolicySpec {
   std::vector<std::size_t> sizes;  ///< Mlp layer sizes {in, hidden..., out}
   nn::Activation activation = nn::Activation::Tanh;
   Vec net_params;                  ///< flat Mlp parameters (no extras)
-  env::ActionSpace action_space;   ///< unused for GreedyDecode::Raw
-  GreedyDecode decode = GreedyDecode::Raw;
+  env::ActionSpace action_space;
+  GreedyDecode decode = GreedyDecode::ArgmaxDiscrete;
 
   std::size_t input_dim() const { return sizes.front(); }
   /// Dimension of a served action vector.
-  std::size_t action_dim() const;
+  std::size_t action_dim() const { return action_space.action_dim(); }
 };
 
-/// Build a servable spec from a saved checkpoint. `hidden` must match the
-/// architecture the checkpoint was trained with (the algorithms' default
-/// is {64, 64}); a parameter-count mismatch raises rl::CheckpointError.
-/// For PPO/IMPALA continuous policies the state-independent log-std tail
-/// is split off (greedy decoding never reads it); SAC's mean/log-std head
-/// split is handled by the decode recipe instead.
+/// Build a servable spec from a saved checkpoint through the algorithm's
+/// rl::PolicyDef (layer sizes, activation, log-std tail, decode). `hidden`
+/// must match the architecture the checkpoint was trained with (the
+/// algorithms' default is {64, 64}); a parameter-count mismatch raises
+/// rl::CheckpointError. A PPO/IMPALA Box log-std tail is split off (greedy
+/// decoding never reads it).
 PolicySpec policy_spec_from_checkpoint(
     const rl::Checkpoint& checkpoint, const env::ActionSpace& action_space,
     const std::vector<std::size_t>& hidden = {64, 64});
 
-/// Greedy-decode one head row into `out` (pre-sized to spec.action_dim()).
-/// Deterministic per-element math — no allocation, no rng.
+/// Greedy-decode one head row into `out` (pre-sized to spec.action_dim())
+/// with rl::greedy_action — no allocation, no rng.
 void decode_head(const PolicySpec& spec, const double* head, Vec& out);
 
 /// One published policy. Immutable; identified by a monotonically

@@ -199,6 +199,26 @@ TEST(Backends, SingleNodeFrameworksRejectMultiNode) {
                InvalidArgument);
 }
 
+TEST(Backends, BatchBelowWorkerCountIsRejected) {
+  // RLlib and TF-Agents spread train_batch_total over the workers: fewer
+  // transitions than workers (none included) is refused, not rounded up to
+  // one-transition batches.
+  for (const FrameworkKind kind :
+       {FrameworkKind::RayRllib, FrameworkKind::TfAgents}) {
+    for (const std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
+      TrainRequest req = small_request(kind, 1, 4);
+      req.train_batch_total = batch;
+      EXPECT_THROW(make_backend(kind)->run(req), InvalidArgument)
+          << framework_name(kind) << " batch " << batch;
+    }
+  }
+  // Stable Baselines sizes its batch by steps_per_env alone.
+  TrainRequest sb = small_request(FrameworkKind::StableBaselines, 1, 2);
+  sb.train_batch_total = 0;
+  sb.total_timesteps = 256;
+  EXPECT_NO_THROW(make_backend(FrameworkKind::StableBaselines)->run(sb));
+}
+
 class BackendRunTest : public ::testing::TestWithParam<FrameworkKind> {};
 
 TEST_P(BackendRunTest, ProducesPlausibleMetrics) {
@@ -363,13 +383,20 @@ TEST(Backends, SacRunsThroughBackends) {
 
 /// small_request with SAC on a short-horizon Pendulum at the cheap learner
 /// settings Backends.SacRunsThroughBackends uses.
-TrainRequest small_sac_request(FrameworkKind kind, std::size_t nodes,
+/// small_request on a 50-step pendulum (a Box action space).
+TrainRequest small_box_request(FrameworkKind kind, std::size_t nodes,
                                std::size_t cores) {
   TrainRequest req = small_request(kind, nodes, cores);
   req.env_factory = [] {
     return std::make_unique<env::TimeLimit>(
         std::make_unique<env::PendulumEnv>(), 50);
   };
+  return req;
+}
+
+TrainRequest small_sac_request(FrameworkKind kind, std::size_t nodes,
+                               std::size_t cores) {
+  TrainRequest req = small_box_request(kind, nodes, cores);
   req.algo.kind = rl::AlgoKind::SAC;
   req.algo.sac.warmup_steps = 64;
   req.algo.sac.batch_size = 16;
@@ -411,26 +438,36 @@ TEST(Backends, GoldenResultDigests) {
     FrameworkKind kind;
     std::size_t nodes;
     rl::AlgoKind algo;
+    bool box;  ///< pendulum (Box actions) instead of CartPole (Discrete)
     const char* digest;
   };
   const Case cases[] = {
-      {FrameworkKind::RayRllib, 1, rl::AlgoKind::PPO, "995573fd8d144389"},
-      {FrameworkKind::RayRllib, 2, rl::AlgoKind::PPO, "f2a2502869c74a64"},
-      {FrameworkKind::StableBaselines, 1, rl::AlgoKind::PPO, "71b033cd2e9bb39c"},
-      {FrameworkKind::TfAgents, 1, rl::AlgoKind::PPO, "1770332b4ce22955"},
-      {FrameworkKind::RayRllib, 1, rl::AlgoKind::SAC, "a93fd01399a8d3a5"},
-      {FrameworkKind::RayRllib, 2, rl::AlgoKind::SAC, "23b6b3bf242dbc82"},
-      {FrameworkKind::StableBaselines, 1, rl::AlgoKind::SAC, "f048bfc366068d85"},
-      {FrameworkKind::TfAgents, 1, rl::AlgoKind::SAC, "3559920eda7f80a0"},
+      {FrameworkKind::RayRllib, 1, rl::AlgoKind::PPO, false, "995573fd8d144389"},
+      {FrameworkKind::RayRllib, 2, rl::AlgoKind::PPO, false, "f2a2502869c74a64"},
+      {FrameworkKind::StableBaselines, 1, rl::AlgoKind::PPO, false, "71b033cd2e9bb39c"},
+      {FrameworkKind::TfAgents, 1, rl::AlgoKind::PPO, false, "1770332b4ce22955"},
+      {FrameworkKind::RayRllib, 1, rl::AlgoKind::SAC, true, "a93fd01399a8d3a5"},
+      {FrameworkKind::RayRllib, 2, rl::AlgoKind::SAC, true, "23b6b3bf242dbc82"},
+      {FrameworkKind::StableBaselines, 1, rl::AlgoKind::SAC, true, "f048bfc366068d85"},
+      {FrameworkKind::TfAgents, 1, rl::AlgoKind::SAC, true, "3559920eda7f80a0"},
+      // The DiagGaussian / log-std head and the whole V-trace learner.
+      {FrameworkKind::RayRllib, 1, rl::AlgoKind::PPO, true, "5f01da3a86973210"},
+      {FrameworkKind::RayRllib, 2, rl::AlgoKind::IMPALA, false, "15247a1d098f41db"},
+      {FrameworkKind::RayRllib, 1, rl::AlgoKind::IMPALA, true, "9c9406e7544cd37e"},
   };
   for (const Case& c : cases) {
-    const TrainRequest req = c.algo == rl::AlgoKind::SAC
-                                 ? small_sac_request(c.kind, c.nodes, 2)
-                                 : small_request(c.kind, c.nodes, 2);
+    TrainRequest req;
+    if (c.algo == rl::AlgoKind::SAC) {
+      req = small_sac_request(c.kind, c.nodes, 2);
+    } else {
+      req = c.box ? small_box_request(c.kind, c.nodes, 2)
+                  : small_request(c.kind, c.nodes, 2);
+      req.algo.kind = c.algo;
+    }
     const TrainResult r = make_backend(c.kind)->run(req);
     EXPECT_EQ(result_digest(r), c.digest)
         << framework_name(c.kind) << " " << c.nodes << "x2 "
-        << rl::algo_name(c.algo);
+        << rl::algo_name(c.algo) << (c.box ? " box" : " discrete");
   }
 }
 

@@ -663,6 +663,23 @@ TEST_F(NetDistributed, MissingActorSurfacesAsTimeoutNotHang) {
   EXPECT_THROW(backend.run(req), net::NetError);
 }
 
+TEST_F(NetDistributed, BatchBelowWorkerCountIsRejectedBeforeAnyActor) {
+  // 2 nodes x 2 cores = 4 workers. The refusal comes from the iteration
+  // plan, before the learner listens for actors: without it this run would
+  // wait out the connect timeout instead.
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
+    frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/2);
+    req.train_batch_total = batch;
+    frameworks::DistributedOptions opts;
+    opts.enabled = true;
+    opts.endpoint = "unix:" + unique_sock_path("smallbatch");
+    opts.spawn_actors = false;
+    opts.connect_timeout_s = 0.3;
+    frameworks::DistributedRllibBackend backend(opts);
+    EXPECT_THROW(backend.run(req), InvalidArgument) << "batch " << batch;
+  }
+}
+
 TEST_F(NetDistributed, SingleNodeJobsAreRejected) {
   frameworks::TrainRequest req = tiny_rllib_request(/*nodes=*/1);
   frameworks::DistributedOptions opts;

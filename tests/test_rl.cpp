@@ -355,6 +355,10 @@ TEST(Factory, BuildsPpoAndSac) {
       InvalidArgument);
   EXPECT_STREQ(algo_name(AlgoKind::PPO), "PPO");
   EXPECT_STREQ(algo_name(AlgoKind::SAC), "SAC");
+  for (const AlgoKind kind : {AlgoKind::PPO, AlgoKind::SAC, AlgoKind::IMPALA}) {
+    EXPECT_EQ(algo_from_name(algo_name(kind)), kind);
+  }
+  EXPECT_EQ(algo_from_name("ppo"), std::nullopt);
 }
 
 TEST(PpoActor, SnapshotRoundTripAndDeterminism) {

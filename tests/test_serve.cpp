@@ -161,6 +161,41 @@ TEST(PolicySpec, FromCheckpointMatchesAlgorithmArchitectures) {
                rl::CheckpointError);
 }
 
+TEST(Serve, ServedActionMatchesTrainedGreedyForEveryAlgorithm) {
+  // The fleet serves a checkpoint through the same greedy decision the
+  // training-side actor evaluates with, for every algorithm and head.
+  const env::ActionSpace discrete(env::DiscreteSpace(3));
+  const env::ActionSpace box(env::BoxSpace(2, -0.5, 0.5));
+  struct Case {
+    rl::AlgoKind kind;
+    const env::ActionSpace* space;
+  };
+  const Case cases[] = {{rl::AlgoKind::PPO, &discrete},
+                        {rl::AlgoKind::PPO, &box},
+                        {rl::AlgoKind::IMPALA, &discrete},
+                        {rl::AlgoKind::IMPALA, &box},
+                        {rl::AlgoKind::SAC, &box}};
+  for (const Case& c : cases) {
+    rl::AlgorithmSpec algo_spec;
+    algo_spec.kind = c.kind;
+    auto algo = rl::make_algorithm(algo_spec, 4, *c.space, 7);
+    rl::Checkpoint ck;
+    ck.kind = c.kind;
+    ck.obs_dim = 4;
+    ck.action_dim = c.space->action_dim();
+    ck.params = algo->policy_params();
+    DirectPolicy served(policy_spec_from_checkpoint(ck, *c.space));
+    auto actor = algo->make_actor();
+    Rng rng(11);
+    for (int i = 0; i < 5; ++i) {
+      const Vec obs = random_obs(rng);
+      EXPECT_TRUE(bitwise_equal(served.act(obs), actor->act_greedy(obs)))
+          << rl::algo_name(c.kind) << " " << c.space->describe()
+          << " observation " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bitwise served-vs-direct equivalence
 

@@ -46,7 +46,9 @@
 #                    darl_top given a malformed, signed or out-of-range
 #                    numeric flag (or darl_serve a removed flag) must exit
 #                    1 or 2 with a message, never abort on an uncaught
-#                    exception
+#                    exception; a darl_worker learner given a train batch
+#                    below its worker count must exit 1 without leaving
+#                    an actor process behind
 #  12. distributed smoke: a darl_worker learner plus two independently
 #                    launched darl_worker actor processes train an RLlib
 #                    job over a Unix socket; the learner's /metrics must
@@ -294,6 +296,20 @@ for bad in "darl_serve --train-timesteps 64 --max-batch -1" \
   fi
   rejects=$((rejects + 1))
 done
+# A train batch below the worker count (2 nodes x 2 cores by default) is a
+# configuration error: the learner reports it (exit 1) before it spawns
+# or waits for any actor process.
+bad="darl_worker --role learner --nodes 2 --timesteps 512 --batch-total 0"
+rc=0
+# shellcheck disable=SC2086  # $bad is a tool, its flags and their values
+./build/tools/$bad > "$REJECT_LOG" 2>&1 || rc=$?
+if [[ "$rc" -ne 1 ]] || grep -q 'terminate called' "$REJECT_LOG" \
+   || pgrep -f '[d]arl_worker --role actor' > /dev/null; then
+  echo "CLI-rejection smoke FAILED: '$bad' exited $rc or left an actor behind"
+  cat "$REJECT_LOG"
+  exit 1
+fi
+rejects=$((rejects + 1))
 echo "CLI-rejection smoke ok: $rejects bad invocations refused with exit 1 or 2"
 
 stage "distributed smoke (learner + 2 actor processes over a unix socket)"
