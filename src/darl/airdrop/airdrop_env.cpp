@@ -20,25 +20,42 @@ env::ActionSpace make_action_space(ActionMode mode) {
 
 }  // namespace
 
+void validate_airdrop_config(const AirdropConfig& c) {
+  const double reals[] = {c.wind_speed_max,  c.wind_shear_exponent,
+                          c.wind_ref_altitude, c.gust_probability,
+                          c.gust_speed,      c.gust_duration,
+                          c.altitude_min,    c.altitude_max,
+                          c.control_dt,      c.reward_scale,
+                          c.shaping_weight,  c.drop_offset_fraction,
+                          c.touchdown_tolerance};
+  for (const double x : reals) {
+    DARL_CHECK(std::isfinite(x), "airdrop config value " << x << " is not finite");
+  }
+  DARL_CHECK(c.altitude_min > 0.0 && c.altitude_min <= c.altitude_max,
+             "invalid drop-altitude interval [" << c.altitude_min << ", "
+                                                << c.altitude_max << "]");
+  DARL_CHECK(c.control_dt > 0.0 && c.control_dt <= kMaxControlDt,
+             "control interval " << c.control_dt << " out of (0, "
+                                 << kMaxControlDt << "] s");
+  DARL_CHECK(c.reward_scale > 0.0, "reward scale must be positive");
+  DARL_CHECK(c.gust_probability >= 0.0 && c.gust_probability <= 1.0,
+             "gust probability out of [0,1]");
+  DARL_CHECK(c.drop_offset_fraction >= 0.0 && c.drop_offset_fraction <= 1.0,
+             "drop offset fraction out of [0,1]");
+  DARL_CHECK(c.wind_ref_altitude > 0.0, "wind reference altitude must be positive");
+  DARL_CHECK(c.wind_shear_exponent >= 0.0,
+             "wind shear exponent must be non-negative");
+  DARL_CHECK(c.wind_speed_max >= 0.0 && c.gust_speed >= 0.0 && c.gust_duration >= 0.0,
+             "wind speed, gust speed and gust duration must be non-negative");
+  DARL_CHECK(c.touchdown_tolerance > 0.0, "touchdown tolerance must be positive");
+  DARL_CHECK(c.max_episode_steps > 0, "max_episode_steps must be positive");
+}
+
 AirdropEnv::AirdropEnv(AirdropConfig config)
     : config_(config),
       obs_space_(kObservationDim, -20.0, 20.0),
       act_space_(make_action_space(config.action_mode)) {
-  DARL_CHECK(config_.altitude_min > 0.0 &&
-                 config_.altitude_min <= config_.altitude_max,
-             "invalid drop-altitude interval [" << config_.altitude_min << ", "
-                                                << config_.altitude_max << "]");
-  DARL_CHECK(config_.control_dt > 0.0, "control interval must be positive");
-  DARL_CHECK(config_.reward_scale > 0.0, "reward scale must be positive");
-  DARL_CHECK(config_.gust_probability >= 0.0 && config_.gust_probability <= 1.0,
-             "gust probability out of [0,1]");
-  DARL_CHECK(config_.drop_offset_fraction >= 0.0 &&
-                 config_.drop_offset_fraction <= 1.0,
-             "drop offset fraction out of [0,1]");
-  DARL_CHECK(config_.wind_ref_altitude > 0.0,
-             "wind reference altitude must be positive");
-  DARL_CHECK(config_.wind_shear_exponent >= 0.0,
-             "wind shear exponent must be non-negative");
+  validate_airdrop_config(config_);
 
   // The simulator integrates each control interval in one macro step of the
   // configured method ("fixed-step" semantics): the per-interval truncation

@@ -62,6 +62,20 @@ struct AirdropConfig {
   double touchdown_tolerance = 1e-3;
 };
 
+/// Longest control interval an AirdropConfig may ask for (s). Each
+/// interval is one macro Runge-Kutta step, and a descent from the default
+/// 1000-unit ceiling lasts a few minutes, so a longer step no longer
+/// resolves a flight.
+inline constexpr double kMaxControlDt = 60.0;
+
+/// Throws darl::InvalidArgument unless every field of `config` is in the
+/// range AirdropEnv supports: reals finite, the drop-altitude interval
+/// positive and ordered, control_dt in (0, kMaxControlDt], probabilities
+/// and fractions in [0, 1], speeds, durations and the shear exponent
+/// non-negative, scales, tolerances and max_episode_steps positive. The
+/// constructor and the spec decoder both apply it.
+void validate_airdrop_config(const AirdropConfig& config);
+
 /// Result summary of the last finished episode (for diagnostics/examples).
 struct LandingInfo {
   double distance = 0.0;        ///< horizontal distance to the target

@@ -25,7 +25,10 @@ extern const char* const kAirdropSpecMagic;
 std::string encode_airdrop_spec(const AirdropConfig& config);
 
 /// Inverse of encode_airdrop_spec; throws darl::InvalidArgument on a
-/// malformed or foreign spec string.
+/// malformed or foreign spec string. Strict: flags must be 0 or 1, counts
+/// whole unsigned numbers, reals finite, nothing may follow the last
+/// field, and the decoded config must pass validate_airdrop_config — a
+/// Job an actor cannot run is refused at decode time.
 AirdropConfig decode_airdrop_spec(const std::string& spec);
 
 /// True when `spec` carries the airdrop magic (resolver dispatch).

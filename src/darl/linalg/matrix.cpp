@@ -1,20 +1,14 @@
 #include "darl/linalg/matrix.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
+#include "darl/linalg/simd.hpp"
 #include "darl/linalg/thread_pool.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define DARL_LINALG_X86 1
-#include <immintrin.h>
-#else
-#define DARL_LINALG_X86 0
-#endif
 
 namespace darl {
 
@@ -42,7 +36,7 @@ void Matrix::reshape(std::size_t rows, std::size_t cols) {
   data_.resize(rows * cols);
 }
 
-void Matrix::fill(double value) {
+DARL_SIMD_CLONES void Matrix::fill(double value) {
   for (double& v : data_) v = value;
 }
 
@@ -88,22 +82,21 @@ void Matrix::add_scaled(double alpha, const Matrix& other) {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Blocked gemm kernels (DESIGN.md §16).
-//
-// Every kernel below accumulates each C element over the contraction index
-// t in ascending order with a scalar chain seeded from the C value already
-// in memory. K-panel boundaries re-seed the chain from C between panels —
-// the same additions in the same order, just interleaved with other rows —
-// so blocking, packing, and the row-partition parallel schedule are all
-// bitwise-neutral. Only the opt-in fast-math tier (fused multiply-add)
-// rounds differently, and only by the documented divergence bound.
-// ---------------------------------------------------------------------------
+using simd::V4d;
 
-/// K-panel length: the contraction index is walked in chunks of this many
-/// terms so a panel of the row-major operand stays cache-hot across all of
-/// a worker's C rows (64 terms x 256 cols x 8 bytes = 128 KiB, L2-sized).
-constexpr std::size_t kPanelK = 64;
+// ---------------------------------------------------------------------------
+// GEMM kernels (DESIGN.md §16).
+//
+// Every path below accumulates each C element over the contraction index t
+// in ascending order — one multiply, then one add, per term — in a chain
+// seeded from the C value already in memory. That is the chain
+// reference_gemm in tests/test_linalg.cpp spells out. Register tiling,
+// operand packing, the vector width and the row partition only decide
+// which chains run side by side, never the terms of one chain or their
+// order, so all of them are bitwise-neutral. Only the opt-in fast-math
+// tier (one fused multiply-add per term) rounds differently, and only by
+// the documented divergence bound.
+// ---------------------------------------------------------------------------
 
 /// m*n*k volume below which gemm stays on the calling thread: chunk
 /// handoff costs more than it saves (batch-1 serve latency must not
@@ -111,14 +104,14 @@ constexpr std::size_t kPanelK = 64;
 constexpr std::size_t kParallelMinVolume = 131072;
 
 /// NT output rows below which packing op(B) costs more than the packed
-/// sweep saves; small shapes use the register-blocked dot-product kernel.
+/// kernel saves; small shapes use the dot-product serving kernel.
 constexpr std::size_t kNtPackMinRows = 8;
 
 /// Fast-math tier switch. Enabled only when DARL_FAST_MATH=1 AND the CPU
 /// has AVX2+FMA; darl_study force-disables it so campaign CSVs are exempt
 /// by construction.
 bool cpu_has_fast_math() {
-#if DARL_LINALG_X86 && defined(__GNUC__)
+#if DARL_SIMD_X86
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return false;
@@ -132,11 +125,11 @@ bool fast_math_env_default() {
 
 std::atomic<bool> g_fast_math{fast_math_env_default()};
 
-/// Per-thread packing scratch for the NT flavour's transposed copy of
-/// op(B). Thread-local (gemm may run concurrently from serve replicas and
-/// parallel trials); grows to the largest k x n seen and then stops
-/// allocating. Growth lives here, outside the kernel bodies, per the
-/// darl_lint no-alloc-in-kernel rule.
+/// Per-thread packing scratch for the transposed copy of op(B). Thread-local
+/// (gemm may run concurrently from serve replicas and parallel trials);
+/// grows to the largest k x n seen and then stops allocating. Growth lives
+/// here, outside the kernel bodies, per the darl_lint no-alloc-in-kernel
+/// rule.
 double* pack_workspace(std::size_t need) {
   thread_local Vec buf;
   if (buf.size() < need) buf.resize(need);
@@ -144,176 +137,211 @@ double* pack_workspace(std::size_t need) {
 }
 
 /// dst (k x n row-major) = B^T, with B n x k row-major. Pure layout
-/// change: every value is copied, none recomputed.
+/// change: every value is copied, none recomputed. Four rows of B go
+/// together, so each dst row takes one contiguous 4-wide write per t.
 void pack_b_transposed(const double* b_base, std::size_t b_stride,
                        std::size_t n, std::size_t k, double* dst) {
-  for (std::size_t j = 0; j < n; ++j) {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double* b0 = b_base + j * b_stride;
+    const double* b1 = b0 + b_stride;
+    const double* b2 = b1 + b_stride;
+    const double* b3 = b2 + b_stride;
+    for (std::size_t t = 0; t < k; ++t) {
+      double* d = dst + t * n + j;
+      d[0] = b0[t];
+      d[1] = b1[t];
+      d[2] = b2[t];
+      d[3] = b3[t];
+    }
+  }
+  for (; j < n; ++j) {
     const double* brow = b_base + j * b_stride;
     for (std::size_t t = 0; t < k; ++t) dst[t * n + j] = brow[t];
   }
 }
 
-// Inner sweeps: four ascending-t terms land on each C element per pass
-// (chained scalar adds), then a single-t remainder. The j loop is
-// contiguous in both operands, so it vectorizes without reassociating any
-// per-element sum.
-inline void sweep4(double av0, double av1, double av2, double av3,
-                   const double* b0, const double* b1, const double* b2,
-                   const double* b3, double* crow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    double cj = crow[j];
-    cj += av0 * b0[j];
-    cj += av1 * b1[j];
-    cj += av2 * b2[j];
-    cj += av3 * b3[j];
-    crow[j] = cj;
+/// One product C += alpha * op(A) * B. op(A)(r, t) is a[r*a_rs + t*a_ts],
+/// so a row-major A (NN, NT) and a transposed one (TN, TT) are the same
+/// kernel with the strides swapped. B is row-major k x n: the caller's B,
+/// or op(B) = B^T packed by pack_b_transposed.
+struct GemmArgs {
+  double alpha = 1.0;
+  const double* a = nullptr;
+  std::size_t a_rs = 0;
+  std::size_t a_ts = 0;
+  const double* b = nullptr;
+  std::size_t ldb = 0;
+  double* c = nullptr;
+  std::size_t ldc = 0;
+  std::size_t m = 0;
+  std::size_t n = 0;
+  std::size_t k = 0;
+  bool fused = false;
+};
+
+/// The A factor of one term: alpha * a, or a itself at unit alpha, where
+/// 1.0 * a == a exactly.
+template <bool Unit>
+DARL_SIMD_INLINE double a_term(double alpha, const double* p) {
+  return Unit ? *p : alpha * *p;
+}
+
+/// acc += a * b lane-wise: rounded after the multiply and after the add,
+/// or once per term in the fused fast-math tier.
+template <bool Fused>
+DARL_SIMD_INLINE void mul_add(V4d& acc, const V4d& a, const V4d& b) {
+  if constexpr (Fused) {
+    DARL_SIMD_UNROLL
+    for (int l = 0; l < 4; ++l) acc[l] = std::fma(a[l], b[l], acc[l]);
+  } else {
+    acc += a * b;
   }
 }
 
-inline void sweep1(double av, const double* b, double* crow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) crow[j] += av * b[j];
-}
-
-#if DARL_LINALG_X86
-// Fast-math sweeps: identical term order, but each term lands via a fused
-// multiply-add (one rounding instead of two). Compiled for AVX2+FMA via
-// the target attribute so the base build flags stay untouched; only
-// reachable when fast_math_active().
-__attribute__((target("avx2,fma"))) void sweep4_fma(
-    double av0, double av1, double av2, double av3, const double* b0,
-    const double* b1, const double* b2, const double* b3, double* crow,
-    std::size_t n) {
-  const __m256d v0 = _mm256_set1_pd(av0);
-  const __m256d v1 = _mm256_set1_pd(av1);
-  const __m256d v2 = _mm256_set1_pd(av2);
-  const __m256d v3 = _mm256_set1_pd(av3);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d c = _mm256_loadu_pd(crow + j);
-    c = _mm256_fmadd_pd(v0, _mm256_loadu_pd(b0 + j), c);
-    c = _mm256_fmadd_pd(v1, _mm256_loadu_pd(b1 + j), c);
-    c = _mm256_fmadd_pd(v2, _mm256_loadu_pd(b2 + j), c);
-    c = _mm256_fmadd_pd(v3, _mm256_loadu_pd(b3 + j), c);
-    _mm256_storeu_pd(crow + j, c);
+/// Microkernel: an MR x 4*NV tile of C (rows r.., columns j..) stays in
+/// registers for the whole contraction. Per t, NV vectors of B row t meet
+/// MR broadcast A terms; each lane is one element's chain.
+template <std::size_t MR, std::size_t NV, bool Unit, bool Fused>
+DARL_SIMD_INLINE void tile(const GemmArgs& g, std::size_t r, std::size_t j) {
+  V4d acc[MR][NV];
+  DARL_SIMD_UNROLL
+  for (std::size_t i = 0; i < MR; ++i) {
+    DARL_SIMD_UNROLL
+    for (std::size_t v = 0; v < NV; ++v) {
+      std::memcpy(&acc[i][v], g.c + (r + i) * g.ldc + j + 4 * v, sizeof(V4d));
+    }
   }
-  for (; j < n; ++j) {
-    double cj = crow[j];
-    cj = std::fma(av0, b0[j], cj);
-    cj = std::fma(av1, b1[j], cj);
-    cj = std::fma(av2, b2[j], cj);
-    cj = std::fma(av3, b3[j], cj);
-    crow[j] = cj;
+  const double* pa = g.a + r * g.a_rs;
+  const double* pb = g.b + j;
+  for (std::size_t t = 0; t < g.k; ++t, pa += g.a_ts, pb += g.ldb) {
+    V4d bv[NV];
+    DARL_SIMD_UNROLL
+    for (std::size_t v = 0; v < NV; ++v) std::memcpy(&bv[v], pb + 4 * v, sizeof(V4d));
+    DARL_SIMD_UNROLL
+    for (std::size_t i = 0; i < MR; ++i) {
+      const double ai = a_term<Unit>(g.alpha, pa + i * g.a_rs);
+      const V4d av = {ai, ai, ai, ai};
+      DARL_SIMD_UNROLL
+      for (std::size_t v = 0; v < NV; ++v) mul_add<Fused>(acc[i][v], av, bv[v]);
+    }
   }
-}
-
-__attribute__((target("avx2,fma"))) void sweep1_fma(double av,
-                                                    const double* b,
-                                                    double* crow,
-                                                    std::size_t n) {
-  const __m256d v = _mm256_set1_pd(av);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d c = _mm256_loadu_pd(crow + j);
-    c = _mm256_fmadd_pd(v, _mm256_loadu_pd(b + j), c);
-    _mm256_storeu_pd(crow + j, c);
-  }
-  for (; j < n; ++j) crow[j] = std::fma(av, b[j], crow[j]);
-}
-#endif  // DARL_LINALG_X86
-
-/// One worker's share of C += alpha * A * B, with B a row-major k x n
-/// operand — the true B of the NN flavour, or the packed B^T of the NT
-/// flavour. K-panel outermost: one panel of B stays hot across all of the
-/// worker's rows; each row's scalar chain re-seeds from C at the panel
-/// boundary, preserving the ascending-t order exactly.
-void rowmajor_rows(double alpha, const double* a_base, std::size_t a_stride,
-                   const double* b_base, std::size_t n, std::size_t k,
-                   double* c_base, std::size_t c_stride, std::size_t r0,
-                   std::size_t r1, bool fm) {
-  for (std::size_t t0 = 0; t0 < k; t0 += kPanelK) {
-    const std::size_t t1 = std::min(k, t0 + kPanelK);
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* pa = a_base + r * a_stride;
-      double* crow = c_base + r * c_stride;
-      std::size_t t = t0;
-#if DARL_LINALG_X86
-      if (fm) {
-        for (; t + 4 <= t1; t += 4) {
-          sweep4_fma(alpha * pa[t + 0], alpha * pa[t + 1], alpha * pa[t + 2],
-                     alpha * pa[t + 3], b_base + (t + 0) * n,
-                     b_base + (t + 1) * n, b_base + (t + 2) * n,
-                     b_base + (t + 3) * n, crow, n);
-        }
-        for (; t < t1; ++t) sweep1_fma(alpha * pa[t], b_base + t * n, crow, n);
-        continue;
-      }
-#else
-      (void)fm;
-#endif
-      for (; t + 4 <= t1; t += 4) {
-        sweep4(alpha * pa[t + 0], alpha * pa[t + 1], alpha * pa[t + 2],
-               alpha * pa[t + 3], b_base + (t + 0) * n, b_base + (t + 1) * n,
-               b_base + (t + 2) * n, b_base + (t + 3) * n, crow, n);
-      }
-      for (; t < t1; ++t) sweep1(alpha * pa[t], b_base + t * n, crow, n);
+  DARL_SIMD_UNROLL
+  for (std::size_t i = 0; i < MR; ++i) {
+    DARL_SIMD_UNROLL
+    for (std::size_t v = 0; v < NV; ++v) {
+      std::memcpy(g.c + (r + i) * g.ldc + j + 4 * v, &acc[i][v], sizeof(V4d));
     }
   }
 }
 
-/// One worker's share of C += alpha * A^T * B (rows [r0, r1) of C). The
-/// t-outer rank-1 form already streams B once, so no K-panel is needed;
-/// four t's per sweep keep each C row in registers, ascending order
-/// unchanged.
-void tn_rows(double alpha, const double* a_base, std::size_t a_stride,
-             const double* b_base, std::size_t b_stride, std::size_t n,
-             std::size_t k, double* c_base, std::size_t c_stride,
-             std::size_t r0, std::size_t r1, bool fm) {
-  std::size_t t = 0;
-  for (; t + 4 <= k; t += 4) {
-    const double* arow0 = a_base + (t + 0) * a_stride;
-    const double* arow1 = a_base + (t + 1) * a_stride;
-    const double* arow2 = a_base + (t + 2) * a_stride;
-    const double* arow3 = a_base + (t + 3) * a_stride;
-    const double* brow0 = b_base + (t + 0) * b_stride;
-    const double* brow1 = b_base + (t + 1) * b_stride;
-    const double* brow2 = b_base + (t + 2) * b_stride;
-    const double* brow3 = b_base + (t + 3) * b_stride;
-    for (std::size_t r = r0; r < r1; ++r) {
-      double* crow = c_base + r * c_stride;
-#if DARL_LINALG_X86
-      if (fm) {
-        sweep4_fma(alpha * arow0[r], alpha * arow1[r], alpha * arow2[r],
-                   alpha * arow3[r], brow0, brow1, brow2, brow3, crow, n);
-        continue;
-      }
-#endif
-      sweep4(alpha * arow0[r], alpha * arow1[r], alpha * arow2[r],
-             alpha * arow3[r], brow0, brow1, brow2, brow3, crow, n);
+/// Narrow-column tile: NC (< 4) columns of four rows, one vector per
+/// column whose lanes are the four rows' independent chains — the shape
+/// of an output head (n = 1, 2) and of the n % 4 tail.
+template <std::size_t NC, bool Unit, bool Fused>
+DARL_SIMD_INLINE void tile_cols(const GemmArgs& g, std::size_t r, std::size_t j) {
+  const std::size_t rs = g.a_rs;
+  double* pc = g.c + r * g.ldc + j;
+  V4d acc[NC];
+  DARL_SIMD_UNROLL
+  for (std::size_t c = 0; c < NC; ++c) {
+    const double lanes[4] = {pc[c], pc[g.ldc + c], pc[2 * g.ldc + c],
+                             pc[3 * g.ldc + c]};
+    std::memcpy(&acc[c], lanes, sizeof(V4d));
+  }
+  const double* pa = g.a + r * rs;
+  const double* pb = g.b + j;
+  for (std::size_t t = 0; t < g.k; ++t, pa += g.a_ts, pb += g.ldb) {
+    const V4d av = {a_term<Unit>(g.alpha, pa), a_term<Unit>(g.alpha, pa + rs),
+                    a_term<Unit>(g.alpha, pa + 2 * rs),
+                    a_term<Unit>(g.alpha, pa + 3 * rs)};
+    DARL_SIMD_UNROLL
+    for (std::size_t c = 0; c < NC; ++c) {
+      mul_add<Fused>(acc[c], av, V4d{pb[c], pb[c], pb[c], pb[c]});
     }
   }
-  for (; t < k; ++t) {
-    const double* arow = a_base + t * a_stride;
-    const double* brow = b_base + t * b_stride;
-    for (std::size_t r = r0; r < r1; ++r) {
-      double* crow = c_base + r * c_stride;
-#if DARL_LINALG_X86
-      if (fm) {
-        sweep1_fma(alpha * arow[r], brow, crow, n);
-        continue;
-      }
-#else
-      (void)fm;
-#endif
-      sweep1(alpha * arow[r], brow, crow, n);
+  DARL_SIMD_UNROLL
+  for (std::size_t c = 0; c < NC; ++c) {
+    DARL_SIMD_UNROLL
+    for (std::size_t i = 0; i < 4; ++i) pc[i * g.ldc + c] = acc[c][i];
+  }
+}
+
+/// One element's chain, for the corner left by a row tail and a column
+/// tail.
+template <bool Unit, bool Fused>
+DARL_SIMD_INLINE void element(const GemmArgs& g, std::size_t r, std::size_t j) {
+  double acc = g.c[r * g.ldc + j];
+  const double* pa = g.a + r * g.a_rs;
+  const double* pb = g.b + j;
+  for (std::size_t t = 0; t < g.k; ++t, pa += g.a_ts, pb += g.ldb) {
+    const double ai = a_term<Unit>(g.alpha, pa);
+    if constexpr (Fused) {
+      acc = std::fma(ai, *pb, acc);
+    } else {
+      acc += ai * *pb;
     }
   }
+  g.c[r * g.ldc + j] = acc;
+}
+
+/// Tile C rows [r0, r1) — any range, so the pool may split rows anywhere:
+/// 4-row blocks across 8-, 4- and narrow-column tiles, then single rows.
+template <bool Unit, bool Fused>
+DARL_SIMD_INLINE void tile_rows(const GemmArgs& g, std::size_t r0, std::size_t r1) {
+  std::size_t r = r0;
+  for (; r + 4 <= r1; r += 4) {
+    std::size_t j = 0;
+    for (; j + 8 <= g.n; j += 8) tile<4, 2, Unit, Fused>(g, r, j);
+    if (j + 4 <= g.n) {
+      tile<4, 1, Unit, Fused>(g, r, j);
+      j += 4;
+    }
+    switch (g.n - j) {
+      case 3: tile_cols<3, Unit, Fused>(g, r, j); break;
+      case 2: tile_cols<2, Unit, Fused>(g, r, j); break;
+      case 1: tile_cols<1, Unit, Fused>(g, r, j); break;
+      default: break;
+    }
+  }
+  for (; r < r1; ++r) {
+    std::size_t j = 0;
+    for (; j + 8 <= g.n; j += 8) tile<1, 2, Unit, Fused>(g, r, j);
+    if (j + 4 <= g.n) {
+      tile<1, 1, Unit, Fused>(g, r, j);
+      j += 4;
+    }
+    for (; j < g.n; ++j) element<Unit, Fused>(g, r, j);
+  }
+}
+
+template <bool Fused>
+DARL_SIMD_INLINE void gemm_rows_impl(const GemmArgs& g, std::size_t r0, std::size_t r1) {
+  if (g.alpha == 1.0) {
+    tile_rows<true, Fused>(g, r0, r1);
+  } else {
+    tile_rows<false, Fused>(g, r0, r1);
+  }
+}
+
+DARL_SIMD_CLONES void gemm_rows(const GemmArgs& g, std::size_t r0, std::size_t r1) {
+  gemm_rows_impl<false>(g, r0, r1);
+}
+
+/// The fast-math tier: the same kernel with a fused op, compiled for
+/// AVX2+FMA. Reachable only when fast_math_active(), which requires both.
+#if DARL_SIMD_X86
+__attribute__((target("avx2,fma")))
+#endif
+void gemm_rows_fused(const GemmArgs& g, std::size_t r0, std::size_t r1) {
+  gemm_rows_impl<true>(g, r0, r1);
 }
 
 /// Register-blocked dot-product NT kernel for small outputs (m below
 /// kNtPackMinRows): four C columns share one ascending-t pass, each with
-/// its own scalar chain. This is the PR-4 kernel shape; packing would cost
+/// its own scalar chain. This is the serving kernel: packing would cost
 /// as much as the whole product at these sizes. Always scalar — the
-/// fast-math tier only covers the blocked shapes.
+/// fast-math tier only covers the packed shapes.
 void nt_small(double alpha, const double* a_base, std::size_t a_stride,
               const double* b_base, std::size_t b_stride, std::size_t m,
               std::size_t n, std::size_t k, double* c_base,
@@ -352,50 +380,31 @@ void nt_small(double alpha, const double* a_base, std::size_t a_stride,
   }
 }
 
-/// Chunk context handed to the pool: everything a worker needs to find
-/// its fixed row range and run the right flavour over it.
-struct ChunkCtx {
-  double alpha = 1.0;
-  const double* a_base = nullptr;
-  std::size_t a_stride = 0;
-  const double* b_base = nullptr;
-  std::size_t b_stride = 0;
-  double* c_base = nullptr;
-  std::size_t c_stride = 0;
-  std::size_t m = 0;
-  std::size_t n = 0;
-  std::size_t k = 0;
-  bool tn = false;
-  bool fm = false;
-};
-
 /// Fixed tile ownership: worker w of `width` owns C rows
 /// [m*w/width, m*(w+1)/width) — contiguous, disjoint, and a pure function
 /// of (w, width), so the schedule (and every write) is identical across
 /// runs and across threaded vs inline execution.
 void gemm_chunk(void* vctx, std::size_t w, std::size_t width) {
-  const ChunkCtx& ctx = *static_cast<const ChunkCtx*>(vctx);
-  const std::size_t r0 = (ctx.m * w) / width;
-  const std::size_t r1 = (ctx.m * (w + 1)) / width;
+  const GemmArgs& g = *static_cast<const GemmArgs*>(vctx);
+  const std::size_t r0 = (g.m * w) / width;
+  const std::size_t r1 = (g.m * (w + 1)) / width;
   if (r0 >= r1) return;
-  if (ctx.tn) {
-    tn_rows(ctx.alpha, ctx.a_base, ctx.a_stride, ctx.b_base, ctx.b_stride,
-            ctx.n, ctx.k, ctx.c_base, ctx.c_stride, r0, r1, ctx.fm);
+  if (g.fused) {
+    gemm_rows_fused(g, r0, r1);
   } else {
-    rowmajor_rows(ctx.alpha, ctx.a_base, ctx.a_stride, ctx.b_base, ctx.n,
-                  ctx.k, ctx.c_base, ctx.c_stride, r0, r1, ctx.fm);
+    gemm_rows(g, r0, r1);
   }
 }
 
-/// Route a chunk context through the pool when the product volume clears
-/// the parallel threshold, inline otherwise. Inline is chunk (0, 1) — the
-/// whole row range in one call.
-void dispatch_chunks(ChunkCtx& ctx) {
+/// Route a product through the pool when its volume clears the parallel
+/// threshold, inline otherwise. Inline is chunk (0, 1) — the whole row
+/// range in one call.
+void dispatch_chunks(GemmArgs& g) {
   linalg::ThreadPool& pool = linalg::ThreadPool::instance();
-  if (pool.width() > 1 && ctx.m * ctx.n * ctx.k >= kParallelMinVolume) {
-    pool.run(&gemm_chunk, &ctx);
+  if (pool.width() > 1 && g.m * g.n * g.k >= kParallelMinVolume) {
+    pool.run(&gemm_chunk, &g);
   } else {
-    gemm_chunk(&ctx, 0, 1);
+    gemm_chunk(&g, 0, 1);
   }
 }
 
@@ -422,67 +431,35 @@ void Matrix::gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
              "gemm output shape mismatch: C is " << c.rows_ << "x" << c.cols_
                                                  << ", expected " << m << "x"
                                                  << n);
-  const double* a_base = a.data_.data();
-  const double* b_base = b.data_.data();
-  double* c_base = c.data_.data();
-  const bool fm = fast_math_active();
-  ChunkCtx ctx;
-  ctx.alpha = alpha;
-  ctx.c_base = c_base;
-  ctx.c_stride = c.cols_;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = kdim;
-  ctx.fm = fm;
-  if (!trans_a && trans_b) {
-    // C += alpha * A * B^T — the forward-pass shape (Z = X * W^T). Large
-    // outputs pack op(B) into a k x n panel buffer once (layout only, no
-    // arithmetic) and run the vectorizable row-major core over it; small
-    // outputs keep the dot-product kernel. Same per-element order either
-    // way.
-    if (m < kNtPackMinRows) {
-      nt_small(alpha, a_base, a.cols_, b_base, b.cols_, m, n, kdim, c_base,
-               c.cols_);
-      return;
-    }
-    double* pack = pack_workspace(kdim * n);
-    pack_b_transposed(b_base, b.cols_, n, kdim, pack);
-    ctx.a_base = a_base;
-    ctx.a_stride = a.cols_;
-    ctx.b_base = pack;
-    ctx.b_stride = n;
-    dispatch_chunks(ctx);
-  } else if (trans_a && !trans_b) {
-    // C += alpha * A^T * B — the weight-gradient shape (dW += delta^T * X).
-    // Rank-1 t-outer updates, parallel over C row ranges.
-    ctx.a_base = a_base;
-    ctx.a_stride = a.cols_;
-    ctx.b_base = b_base;
-    ctx.b_stride = b.cols_;
-    ctx.tn = true;
-    dispatch_chunks(ctx);
-  } else if (!trans_a && !trans_b) {
-    // C += alpha * A * B — the input-gradient shape (dX = delta * W). B is
-    // already row-major k x n; the packed-NT core runs on it directly.
-    ctx.a_base = a_base;
-    ctx.a_stride = a.cols_;
-    ctx.b_base = b_base;
-    ctx.b_stride = b.cols_;
-    dispatch_chunks(ctx);
-  } else {
-    // C += alpha * A^T * B^T — unused by the network; generic strided form.
-    for (std::size_t r = 0; r < m; ++r) {
-      const double* pa = a_base + r;
-      double* crow = c_base + r * c.cols_;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double* pb = b_base + j * b.cols_;
-        double acc = crow[j];
-        for (std::size_t t = 0; t < kdim; ++t)
-          acc += (alpha * pa[t * a.cols_]) * pb[t];
-        crow[j] = acc;
-      }
-    }
+  if (!trans_a && trans_b && m < kNtPackMinRows) {
+    // C += alpha * A * B^T at serving batch sizes (Z = X * W^T).
+    nt_small(alpha, a.data_.data(), a.cols_, b.data_.data(), b.cols_, m, n,
+             kdim, c.data_.data(), c.cols_);
+    return;
   }
+  GemmArgs g;
+  g.alpha = alpha;
+  g.a = a.data_.data();
+  g.a_rs = trans_a ? 1 : a.cols_;
+  g.a_ts = trans_a ? a.cols_ : 1;
+  if (trans_b) {
+    // op(B) = B^T (the forward pass's W^T): packed once into a k x n
+    // panel — layout only, no arithmetic.
+    double* pack = pack_workspace(kdim * n);
+    pack_b_transposed(b.data_.data(), b.cols_, n, kdim, pack);
+    g.b = pack;
+    g.ldb = n;
+  } else {
+    g.b = b.data_.data();
+    g.ldb = b.cols_;
+  }
+  g.c = c.data_.data();
+  g.ldc = c.cols_;
+  g.m = m;
+  g.n = n;
+  g.k = kdim;
+  g.fused = fast_math_active();
+  dispatch_chunks(g);
 }
 
 Matrix Matrix::multiply(const Matrix& a, const Matrix& b) {
@@ -516,7 +493,7 @@ void Matrix::randomize_kaiming(Rng& rng, double gain) {
   for (double& v : data_) v = rng.normal(0.0, stddev);
 }
 
-void add_bias(Matrix& m, const Vec& bias) {
+DARL_SIMD_CLONES void add_bias(Matrix& m, const Vec& bias) {
   DARL_CHECK(bias.size() == m.cols(),
              "add_bias: bias has " << bias.size() << ", cols " << m.cols());
   for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -529,8 +506,35 @@ void apply_tanh(Matrix& m) {
   for (double& v : m.data()) v = std::tanh(v);
 }
 
-void apply_relu(Matrix& m) {
+DARL_SIMD_CLONES void apply_relu(Matrix& m) {
   for (double& v : m.data()) v = v > 0.0 ? v : 0.0;
+}
+
+namespace {
+
+/// d[i] *= a[i] > 0 ? 1.0 : 0.0 as a compare-and-blend: every lane
+/// multiplies, by 1.0 or by 0.0, exactly like the scalar form.
+DARL_SIMD_CLONES void relu_grad_kernel(double* d, const double* a, std::size_t n) {
+  const V4d one = {1.0, 1.0, 1.0, 1.0};
+  const V4d zero = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    V4d dv;
+    V4d av;
+    std::memcpy(&dv, d + i, sizeof(V4d));
+    std::memcpy(&av, a + i, sizeof(V4d));
+    dv *= av > zero ? one : zero;
+    std::memcpy(d + i, &dv, sizeof(V4d));
+  }
+  for (; i < n; ++i) d[i] *= a[i] > 0.0 ? 1.0 : 0.0;
+}
+
+}  // namespace
+
+void scale_by_relu_grad(Matrix& delta, const Matrix& act) {
+  DARL_CHECK(delta.rows() == act.rows() && delta.cols() == act.cols(),
+             "scale_by_relu_grad shape mismatch");
+  relu_grad_kernel(delta.data().data(), act.data().data(), delta.size());
 }
 
 }  // namespace darl

@@ -3,9 +3,10 @@
 // Dense row-major matrix with the BLAS-2/3-lite kernels the neural-network
 // substrate needs: matrix-vector products, rank-1 updates, and a batched
 // GEMM that the nn::Mlp batch path is built on. The GEMM accumulates each
-// output element over the contraction index in ascending order with a
-// scalar accumulator — exactly the summation order of matvec/matvec_t/
-// add_outer — so batched and per-sample results are bitwise identical.
+// output element over the contraction index in ascending order, one
+// multiply and one add per term — exactly the summation order of
+// matvec/matvec_t/add_outer — so batched and per-sample results are
+// bitwise identical.
 
 #pragma once
 
@@ -73,14 +74,15 @@ class Matrix {
   /// has been seen. Each C element accumulates over the contraction index
   /// in ascending order (seeded from the existing C value), matching the
   /// matvec / matvec_t / add_outer summation order bit for bit — across
-  /// flavours, K-panel blocking, operand packing, AND the thread count:
+  /// flavours, register tiling, SIMD width, operand packing, AND the
+  /// thread count:
   /// large products are row-partitioned over the persistent
   /// linalg::ThreadPool (width from DARL_LINALG_THREADS, default 1) with
   /// fixed disjoint row ownership per worker, so results are bitwise
   /// identical at any width. Products below a volume threshold stay on the
   /// calling thread (batch-1 latency). The opt-in fast-math tier
-  /// (DARL_FAST_MATH=1 / set_fast_math) swaps the inner sweeps for
-  /// AVX2+FMA versions with the same term order but fused rounding — see
+  /// (DARL_FAST_MATH=1 / set_fast_math) runs the same kernel with a fused
+  /// multiply-add: same term order, fused rounding — see
   /// DESIGN.md §16 for the divergence bound; campaigns force it off.
   static void gemm(double alpha, const Matrix& a, bool trans_a,
                    const Matrix& b, bool trans_b, Matrix& c);
@@ -113,7 +115,7 @@ class Matrix {
 /// the strict tier.
 void set_fast_math(bool on);
 
-/// Whether gemm is currently using the fused-multiply-add sweeps.
+/// Whether gemm is currently using the fused-multiply-add kernel.
 bool fast_math_active();
 
 /// m(r, c) += bias[c] for every row r. Requires bias.size() == m.cols().
@@ -124,5 +126,11 @@ void add_bias(Matrix& m, const Vec& bias);
 /// scalar functions the per-sample MLP activation path applies.
 void apply_tanh(Matrix& m);
 void apply_relu(Matrix& m);
+
+/// delta(r, c) *= act(r, c) > 0 ? 1.0 : 0.0 — the rectifier's derivative
+/// read off its stored output (relu(z) > 0 exactly when z > 0). Branch-free
+/// and vectorized, with the scalar form's bits: a masked element is still
+/// multiplied by 0.0, so a -0.0, inf or NaN delta keeps its IEEE result.
+void scale_by_relu_grad(Matrix& delta, const Matrix& act);
 
 }  // namespace darl

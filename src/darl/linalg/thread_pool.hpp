@@ -1,6 +1,6 @@
 // darl/linalg/thread_pool.hpp
 //
-// Persistent worker pool for the blocked gemm schedule (DESIGN.md §16).
+// Persistent worker pool for the gemm row schedule (DESIGN.md §16).
 // One process-wide pool, sized once from DARL_LINALG_THREADS (default 1 =
 // no worker threads at all), hands fixed chunk indices to long-lived
 // workers — no per-call thread spawn on the kernel hot path. The caller

@@ -65,10 +65,10 @@ void Mlp::apply_act(Matrix& z) const {
 }
 
 void Mlp::scale_by_act_grad(Matrix& delta, const Matrix& act) const {
-  double* d = delta.data().data();
-  const double* a = act.data().data();
-  const std::size_t n = delta.size();
   if (activation_ == Activation::Tanh) {
+    double* d = delta.data().data();
+    const double* a = act.data().data();
+    const std::size_t n = delta.size();
     // a[i] is the stored tanh of the pre-activation, so 1 - a^2 is bit for
     // bit the value a recompute through std::tanh would produce — without
     // the (expensive) recompute.
@@ -77,9 +77,7 @@ void Mlp::scale_by_act_grad(Matrix& delta, const Matrix& act) const {
       d[i] *= 1.0 - t * t;
     }
   } else {
-    // relu(z) > 0 exactly when z > 0, so the stored output decides the
-    // pass-through mask just like the pre-activation would.
-    for (std::size_t i = 0; i < n; ++i) d[i] *= a[i] > 0.0 ? 1.0 : 0.0;
+    scale_by_relu_grad(delta, act);
   }
 }
 

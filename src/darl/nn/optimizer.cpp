@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "darl/common/error.hpp"
+#include "darl/linalg/simd.hpp"
 
 namespace darl::nn {
 
@@ -41,22 +43,65 @@ Adam::Adam(std::vector<ParamRef> params, double lr, double beta1, double beta2,
   }
 }
 
+namespace {
+
+/// Adam's per-element constants for one step.
+struct AdamStepCoeffs {
+  double beta1, beta2, bc1, bc2, lr, eps;
+};
+
+/// One Adam update over a tensor of n elements, four lanes at a time. Each
+/// lane runs the scalar tail's operations in the same order, and
+/// lane-wise div and sqrt are correctly rounded like their scalar forms,
+/// so every element gets the scalar bits. (This file builds with
+/// -fno-math-errno, so std::sqrt needs no errno path and vectorizes.)
+DARL_SIMD_CLONES void adam_update(double* w, double* m, double* v, const double* g,
+                                  std::size_t n, const AdamStepCoeffs& k) {
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    simd::V4d gv;
+    simd::V4d mv;
+    simd::V4d vv;
+    simd::V4d wv;
+    std::memcpy(&gv, g + j, sizeof gv);
+    std::memcpy(&mv, m + j, sizeof mv);
+    std::memcpy(&vv, v + j, sizeof vv);
+    std::memcpy(&wv, w + j, sizeof wv);
+    mv = k.beta1 * mv + (1.0 - k.beta1) * gv;
+    vv = k.beta2 * vv + (1.0 - k.beta2) * gv * gv;
+    const simd::V4d mhat = mv / k.bc1;
+    const simd::V4d vhat = vv / k.bc2;
+    simd::V4d root;
+    DARL_SIMD_UNROLL
+    for (int l = 0; l < 4; ++l) root[l] = std::sqrt(vhat[l]);
+    wv -= k.lr * mhat / (root + k.eps);
+    std::memcpy(m + j, &mv, sizeof mv);
+    std::memcpy(v + j, &vv, sizeof vv);
+    std::memcpy(w + j, &wv, sizeof wv);
+  }
+  for (; j < n; ++j) {
+    m[j] = k.beta1 * m[j] + (1.0 - k.beta1) * g[j];
+    v[j] = k.beta2 * v[j] + (1.0 - k.beta2) * g[j] * g[j];
+    const double mhat = m[j] / k.bc1;
+    const double vhat = v[j] / k.bc2;
+    w[j] -= k.lr * mhat / (std::sqrt(vhat) + k.eps);
+  }
+}
+
+}  // namespace
+
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const AdamStepCoeffs k{beta1_,
+                         beta2_,
+                         1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                         1.0 - std::pow(beta2_, static_cast<double>(t_)),
+                         lr_,
+                         eps_};
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Vec& w = *params_[i].value;
-    const Vec& g = *params_[i].grad;
-    Vec& m = m_[i];
-    Vec& v = v_[i];
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g[j] * g[j];
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    adam_update(w.data(), m_[i].data(), v_[i].data(), params_[i].grad->data(),
+                w.size(), k);
   }
 }
 

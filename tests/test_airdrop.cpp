@@ -252,6 +252,12 @@ TEST(AirdropEnv, RejectsBadConfig) {
   cfg = quick_config();
   cfg.control_dt = 0.0;
   EXPECT_THROW(AirdropEnv{cfg}, InvalidArgument);
+  cfg = quick_config();
+  cfg.control_dt = 2.0 * kMaxControlDt;
+  EXPECT_THROW(AirdropEnv{cfg}, InvalidArgument);
+  cfg = quick_config();
+  cfg.max_episode_steps = 0;
+  EXPECT_THROW(AirdropEnv{cfg}, InvalidArgument);
 }
 
 TEST(AirdropEnv, FactoryProducesIndependentInstances) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
@@ -125,16 +126,19 @@ TEST(Matrix, KaimingInitStatistics) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked / threaded gemm vs. the canonical accumulation chain
+// Register-blocked / threaded gemm vs. the canonical accumulation chain
 //
 // Matrix::gemm documents one per-element contract: each C(i, j) is the
 // stored value extended by (alpha * a_it) * b_tj terms in ascending t, one
-// chained scalar add per term. The reference below is that contract
-// written as the plainest possible triple loop — the pre-blocking PR-4
-// loop order. Blocking, packing, and the pool's row partition must all be
-// bitwise-invisible against it, at every width, for every flavour, on
-// shapes chosen to stress the edges (prime dims, K not a multiple of the
-// 64-term panel, K below one sweep4 pass, m below the NT packing cutoff).
+// multiply and one add per term. The reference below is that contract
+// written as the plainest possible triple loop. Register tiling, vector
+// width, packing, the unit-alpha path and the pool's row partition must all
+// be bitwise-invisible against it, at every width, for every flavour, on
+// shapes chosen to stress the edges: prime dims, the 4-row blocks and
+// their remainder, the 8-, 4- and narrow-column tiles (output heads of 1
+// and 2 columns, every n % 8 remainder), k = 1, and m below the NT packing
+// cutoff. Three shapes clear the pool's volume threshold, so widths 2 to 4
+// split their rows at places that are not multiples of 4.
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -163,16 +167,24 @@ struct GemmShape {
   std::size_t m, n, k;
 };
 
-/// Run one flavour over the edge-case shape set at pool widths 1, 2 and 4
-/// and demand bitwise equality with the reference chain every time.
+/// Run one flavour over the edge-case shape set at alpha 1 (the unit-alpha
+/// path) and -0.75, at pool widths 1 to 4, and demand bitwise equality
+/// with the reference chain every time.
 void check_flavour_bitwise(bool trans_a, bool trans_b) {
-  const GemmShape shapes[] = {
-      {13, 17, 71},   // prime dims, K not a multiple of the 64-term panel
-      {3, 5, 2},      // K below one sweep4 pass
-      {67, 31, 64},   // K exactly one panel, odd m/n
-      {9, 129, 130},  // K spanning three panels with a remainder
+  std::vector<GemmShape> shapes = {
+      {13, 17, 71},   // prime dims
+      {3, 5, 2},      // fewer rows than one 4-row block
+      {67, 31, 64},   // odd m/n, every tile kind
+      {9, 129, 130},  // long contraction, one column past the 8-wide tiles
       {1, 64, 64},    // single output row (NT: below the packing cutoff)
+      {64, 1, 64},    // one-column output head
+      {66, 2, 64},    // two-column head, m % 4 == 2
+      {2, 64, 16},    // two-row TN weight gradient of a head
+      {12, 9, 1},     // k = 1
+      {8, 3, 7},      // NT at exactly the packing cutoff
+      {129, 3, 340},  // narrow columns, split over the pool
   };
+  for (std::size_t n = 16; n < 24; ++n) shapes.push_back({11, n, 5});  // n % 8
   linalg::ThreadPool& pool = linalg::ThreadPool::instance();
   Rng rng(17);
   for (const GemmShape& s : shapes) {
@@ -181,19 +193,19 @@ void check_flavour_bitwise(bool trans_a, bool trans_b) {
     const Matrix b = trans_b ? random_matrix(s.n, s.k, rng)
                              : random_matrix(s.k, s.n, rng);
     const Matrix c0 = random_matrix(s.m, s.n, rng);  // nonzero seed values
-    const double alpha = -0.75;
-    Matrix expected = c0;
-    reference_gemm(alpha, a, trans_a, b, trans_b, expected);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-      pool.configure(width);
-      Matrix c = c0;
-      Matrix::gemm(alpha, a, trans_a, b, trans_b, c);
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        ASSERT_EQ(c.data()[i], expected.data()[i])
-            << "flavour " << (trans_a ? "T" : "N") << (trans_b ? "T" : "N")
-            << " shape " << s.m << "x" << s.n << "x" << s.k << " width "
-            << width << " element " << i;
+    for (const double alpha : {1.0, -0.75}) {
+      Matrix expected = c0;
+      reference_gemm(alpha, a, trans_a, b, trans_b, expected);
+      for (std::size_t width = 1; width <= 4; ++width) {
+        pool.configure(width);
+        Matrix c = c0;
+        Matrix::gemm(alpha, a, trans_a, b, trans_b, c);
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          ASSERT_EQ(c.data()[i], expected.data()[i])
+              << "flavour " << (trans_a ? "T" : "N") << (trans_b ? "T" : "N")
+              << " shape " << s.m << "x" << s.n << "x" << s.k << " alpha "
+              << alpha << " width " << width << " element " << i;
+        }
       }
     }
   }

@@ -735,4 +735,105 @@ TEST(AirdropSpec, RoundTripsConfig) {
   for (std::size_t i = 0; i < oa.size(); ++i) EXPECT_EQ(oa[i], ob[i]);
 }
 
+/// `spec` with the value of field `key` replaced by `value`.
+std::string with_field(std::string spec, const std::string& key,
+                       const std::string& value) {
+  const std::string needle = "\n" + key + " ";
+  const std::size_t at = spec.find(needle);
+  if (at == std::string::npos) return spec;
+  const std::size_t from = at + needle.size();
+  return spec.replace(from, spec.find('\n', from) - from, value);
+}
+
+// A Job's env spec is decoded by every actor, so the decoder refuses what
+// the environment cannot run instead of wrapping or accepting it: counts
+// must be whole and unsigned, reals finite, flags 0 or 1, and the decoded
+// config must pass the environment's own range checks.
+TEST(AirdropSpec, RejectsMalformedAndOutOfRangeFields) {
+  const std::string valid = airdrop::encode_airdrop_spec(airdrop::AirdropConfig{});
+  ASSERT_NO_THROW(airdrop::decode_airdrop_spec(valid));
+  struct Case {
+    const char* key;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"max_episode_steps", "-1"},  // istream >> size_t wraps this to 2^64-1
+      {"max_episode_steps", "12abc"},
+      {"max_episode_steps", "2.5"},
+      {"max_episode_steps", "0"},
+      {"max_episode_steps", "18446744073709551616"},  // 2^64
+      {"control_dt", "1e308"},  // finite, but far beyond one macro step
+      {"control_dt", "inf"},
+      {"control_dt", "nan"},
+      {"control_dt", "0"},
+      {"control_dt", "-1"},
+      {"control_dt", "1x"},
+      {"wind_enabled", "2"},
+      {"gusts_enabled", "true"},
+      {"precise_touchdown", "1.0"},
+      {"rk_order", "4"},
+      {"rk_order", "-5"},
+      {"altitude_min", "0"},
+      {"altitude_max", "10"},  // below the default altitude_min of 30
+      {"gust_probability", "1.5"},
+      {"drop_offset_fraction", "-0.1"},
+      {"wind_speed_max", "-3"},
+      {"gust_speed", "-inf"},
+      {"gust_duration", "-1"},
+      {"wind_ref_altitude", "0"},
+      {"wind_shear_exponent", "-0.1"},
+      {"reward_scale", "0"},
+      {"shaping_weight", "nan"},
+      {"touchdown_tolerance", "0"},
+      {"action_mode", "continuous3"},
+  };
+  for (const Case& c : cases) {
+    const std::string bad = with_field(valid, c.key, c.value);
+    ASSERT_NE(bad, valid) << c.key;
+    EXPECT_THROW(airdrop::decode_airdrop_spec(bad), InvalidArgument)
+        << c.key << " " << c.value;
+  }
+  EXPECT_THROW(airdrop::decode_airdrop_spec(valid + "extra 1\n"), InvalidArgument);
+}
+
+// Every valid spec still decodes to exactly the config it encodes: the
+// re-encoding at round-trip precision matches byte for byte, which pins
+// every field (doubles print to 17 significant digits, signed zeros
+// included).
+TEST(AirdropSpec, ValidSpecsDecodeIdentically) {
+  std::vector<airdrop::AirdropConfig> configs(3);
+  airdrop::AirdropConfig& edge = configs[1];
+  edge.wind_enabled = true;
+  edge.wind_speed_max = 0.1;
+  edge.wind_shear_exponent = 1.0 / 7.0;
+  edge.wind_ref_altitude = 1e-3;
+  edge.gusts_enabled = true;
+  edge.gust_probability = 1.0;
+  edge.gust_speed = 0.0;
+  edge.gust_duration = -0.0;
+  edge.altitude_min = 5e-324;  // smallest positive double
+  edge.altitude_max = 5e-324;
+  edge.rk_order = ode::RkOrder::Order3;
+  edge.action_mode = airdrop::ActionMode::Continuous;
+  edge.control_dt = airdrop::kMaxControlDt;
+  edge.reward_scale = 1e300;
+  edge.shaping_weight = -0.5;
+  edge.drop_offset_fraction = 0.0;
+  edge.max_episode_steps = std::numeric_limits<std::size_t>::max();
+  edge.precise_touchdown = true;
+  edge.touchdown_tolerance = 1e-9;
+  airdrop::AirdropConfig& order8 = configs[2];
+  order8.rk_order = ode::RkOrder::Order8;
+  order8.control_dt = 0.25;
+  order8.max_episode_steps = 1;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const std::string spec = airdrop::encode_airdrop_spec(configs[i]);
+    const airdrop::AirdropConfig back = airdrop::decode_airdrop_spec(spec);
+    EXPECT_EQ(airdrop::encode_airdrop_spec(back), spec) << "config " << i;
+    EXPECT_EQ(back.max_episode_steps, configs[i].max_episode_steps);
+    EXPECT_EQ(back.control_dt, configs[i].control_dt);
+    EXPECT_EQ(std::signbit(back.gust_duration), std::signbit(configs[i].gust_duration));
+  }
+}
+
 }  // namespace

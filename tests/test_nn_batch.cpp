@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -232,6 +237,81 @@ TEST(BatchApi, SteadyStateReusesWorkspaces) {
   net.backward_batch(Matrix(8, 2, 1.0));
   const Matrix& y2 = net.forward_batch(x);
   EXPECT_EQ(p1, y2.row(0));
+}
+
+// The ReLU backward is a vectorized compare-and-blend; each element must
+// carry the scalar form's bits, so the special deltas (signed zeros,
+// infinities, NaN) are compared as bit patterns. 10 deltas x 3
+// activations = 30 elements: seven 4-lane blocks and a 2-element tail.
+TEST(NnBatch, ReluBackwardMatchesScalarFormBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> deltas = {0.0,  -0.0, inf,     -inf,   nan,
+                                      -nan, 1.5,  -2.25,   1e-310, -7.0};
+  const std::vector<double> acts = {0.75, 0.0, 3.0};
+  Matrix act(deltas.size(), acts.size());
+  Matrix delta(deltas.size(), acts.size());
+  for (std::size_t r = 0; r < deltas.size(); ++r) {
+    for (std::size_t c = 0; c < acts.size(); ++c) {
+      delta(r, c) = deltas[r];
+      act(r, c) = acts[c];
+    }
+  }
+  Matrix masked = delta;
+  scale_by_relu_grad(masked, act);
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    double expected = delta.data()[i];
+    expected *= act.data()[i] > 0.0 ? 1.0 : 0.0;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(masked.data()[i]),
+              std::bit_cast<std::uint64_t>(expected))
+        << "element " << i;
+  }
+}
+
+// Adam's vectorized update against the scalar formula, bit for bit, on
+// tensors whose odd lengths leave a scalar tail after the 4-lane blocks.
+TEST(NnBatch, AdamStepMatchesScalarFormulaBitwise) {
+  const std::vector<std::size_t> lengths = {1, 3, 7, 13, 65};
+  Rng rng(41);
+  std::vector<Vec> w, g;
+  for (std::size_t n : lengths) {
+    w.push_back(random_matrix(1, n, rng).data());
+    g.emplace_back(n, 0.0);
+  }
+  std::vector<ParamRef> refs;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    refs.push_back({&w[i], &g[i], "p" + std::to_string(i)});
+  }
+  const double lr = 3e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  Adam adam(refs, lr, beta1, beta2, eps);
+  std::vector<Vec> ref_w = w;
+  std::vector<Vec> ref_m, ref_v;
+  for (std::size_t n : lengths) {
+    ref_m.emplace_back(n, 0.0);
+    ref_v.emplace_back(n, 0.0);
+  }
+  for (std::size_t t = 1; t <= 5; ++t) {
+    for (Vec& gi : g) {
+      for (double& x : gi) x = rng.normal(0.0, 1.0);
+    }
+    g[1][1] = 0.0;  // a zero gradient keeps v's recurrence at a pure decay
+    adam.step();
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      for (std::size_t j = 0; j < lengths[i]; ++j) {
+        double& m = ref_m[i][j];
+        double& v = ref_v[i][j];
+        m = beta1 * m + (1.0 - beta1) * g[i][j];
+        v = beta2 * v + (1.0 - beta2) * g[i][j] * g[i][j];
+        const double mhat = m / bc1;
+        const double vhat = v / bc2;
+        ref_w[i][j] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      expect_bitwise(w[i], ref_w[i],
+                     "step " + std::to_string(t) + " tensor " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace
