@@ -1,15 +1,14 @@
 // Microbenchmarks: environment step throughput — the airdrop simulator per
 // Runge-Kutta order (the CPU-heavy part the paper's cluster spends its time
-// on) and the classic-control environments for reference.
+// on) and the classic-control environments (CartPole, Pendulum, GridWorld)
+// for reference.
 
 #include <benchmark/benchmark.h>
 
 #include "darl/airdrop/airdrop_env.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/gridworld.hpp"
-#include "darl/env/mountain_car.hpp"
 #include "darl/env/pendulum.hpp"
-#include "darl/env/vec_env.hpp"
 
 namespace {
 
@@ -54,18 +53,6 @@ void BM_PendulumStep(benchmark::State& state) {
   }
 }
 
-void BM_MountainCarStep(benchmark::State& state) {
-  env::MountainCarEnv env;
-  env.seed(4);
-  Vec obs = env.reset();
-  for (auto _ : state) {
-    const env::StepResult r = env.step({obs[1] >= 0.0 ? 1.0 : -1.0});
-    obs = r.observation;
-    benchmark::DoNotOptimize(r.reward);
-    if (r.terminated) obs = env.reset();
-  }
-}
-
 void BM_GridWorldStep(benchmark::State& state) {
   env::GridWorldEnv env;
   env.seed(5);
@@ -78,23 +65,9 @@ void BM_GridWorldStep(benchmark::State& state) {
   }
 }
 
-void BM_VecEnvStep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  env::SyncVecEnv vec(env::make_cartpole_factory(200), n, 7);
-  vec.reset();
-  const std::vector<Vec> actions(n, Vec{1.0});
-  for (auto _ : state) {
-    const auto r = vec.step(actions);
-    benchmark::DoNotOptimize(r.reward.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-
 }  // namespace
 
 BENCHMARK(BM_AirdropStep)->Arg(3)->Arg(5)->Arg(8);
 BENCHMARK(BM_CartPoleStep);
 BENCHMARK(BM_PendulumStep);
-BENCHMARK(BM_MountainCarStep);
 BENCHMARK(BM_GridWorldStep);
-BENCHMARK(BM_VecEnvStep)->Arg(1)->Arg(4)->Arg(16);

@@ -89,9 +89,4 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
   return idx;
 }
 
-void Rng::fill_normal(std::vector<double>& out) {
-  std::normal_distribution<double> dist(0.0, 1.0);
-  for (double& v : out) v = dist(engine_);
-}
-
 }  // namespace darl

@@ -61,9 +61,6 @@ class Rng {
   /// Fisher–Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 
-  /// Fill `out` with standard normal draws.
-  void fill_normal(std::vector<double>& out);
-
   /// The seed this Rng was constructed with.
   std::uint64_t seed() const { return seed_; }
 

@@ -478,15 +478,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-void Matrix::transpose_into(Matrix& out) const {
-  out.reshape(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* src = data_.data() + r * cols_;
-    double* dst = out.data_.data() + r;
-    for (std::size_t c = 0; c < cols_; ++c) dst[c * rows_] = src[c];
-  }
-}
-
 void Matrix::randomize_kaiming(Rng& rng, double gain) {
   DARL_CHECK(gain > 0.0, "non-positive init gain " << gain);
   const double stddev = gain / std::sqrt(static_cast<double>(cols_));

@@ -93,11 +93,6 @@ class Matrix {
   /// Transposed copy.
   Matrix transposed() const;
 
-  /// Transpose into a caller-owned workspace (reshaped to cols x rows, no
-  /// allocation once the workspace has its capacity). Lets hot paths trade
-  /// a strided gemm operand for a one-off transposed copy.
-  void transpose_into(Matrix& out) const;
-
   /// Fill with He/Kaiming-style scaled normal draws: N(0, gain/sqrt(cols)).
   /// Used for layer weight initialization.
   void randomize_kaiming(Rng& rng, double gain = 1.0);

@@ -34,9 +34,8 @@ class Integrator {
   /// Human-readable method name.
   virtual const std::string& name() const = 0;
 
-  /// Cumulative statistics since construction or the last reset_stats().
+  /// Cumulative statistics since construction.
   const IntegrationStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
  protected:
   virtual void do_integrate(const Rhs& rhs, double t0, double t1, Vec& y) = 0;

@@ -19,14 +19,12 @@ namespace darl::ode {
 /// derivative into `dydt`, which is pre-sized to y.size().
 using Rhs = std::function<void(double t, const Vec& y, Vec& dydt)>;
 
-/// Counters describing one integration run (cumulative across calls until
-/// reset). n_rhs_evals is the basis of the simulated compute-cost model.
+/// Counters describing integration runs (cumulative across calls).
+/// n_rhs_evals is the basis of the simulated compute-cost model.
 struct IntegrationStats {
   std::size_t n_steps = 0;      ///< accepted steps
   std::size_t n_rejected = 0;   ///< rejected (error too large) steps
   std::size_t n_rhs_evals = 0;  ///< total right-hand-side evaluations
-
-  void reset() { *this = IntegrationStats{}; }
 };
 
 /// Error-control and step-size options for adaptive integrators.

@@ -102,7 +102,7 @@ class Policy {
   /// Load a snapshot produced by params(); throws InvalidArgument on a
   /// size mismatch.
   void set_params(const Vec& flat);
-  /// Optimizer view: the network's buffers, then the tail.
+  /// Adam's view: the network's buffers, then the tail.
   std::vector<nn::ParamRef> param_refs();
   void zero_grad();
 

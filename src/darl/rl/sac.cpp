@@ -63,11 +63,6 @@ SacAlgorithm::SacAlgorithm(std::size_t obs_dim, env::ActionSpace action_space,
     for (std::size_t i = 0; i < act_dim_; ++i) last_bias[act_dim_ + i] = 0.5;
   }
 
-  if (config_.prioritized_replay) {
-    per_ = std::make_unique<PrioritizedReplayBuffer>(
-        config_.replay_capacity, config_.per_alpha);
-  }
-
   log_alpha_.assign(1, std::log(config_.init_alpha));
   log_alpha_grad_.assign(1, 0.0);
   target_entropy_ = config_.target_entropy != 0.0
@@ -103,20 +98,8 @@ void SacAlgorithm::polyak_update() {
 void SacAlgorithm::one_update(TrainStats& stats) {
   nn::Mlp& actor = policy_.net();
   const PolicyDef& def = policy_.def();
-  // Uniform or prioritized sampling; with PER the critic regression is
-  // importance-weighted and TD errors feed back as priorities.
-  std::vector<const Transition*> batch;
-  std::vector<std::size_t> per_indices;
-  std::vector<double> is_weights;
-  if (per_) {
-    PrioritizedBatch pb = per_->sample(config_.batch_size, config_.per_beta, rng_);
-    batch = std::move(pb.transitions);
-    per_indices = std::move(pb.indices);
-    is_weights = std::move(pb.weights);
-  } else {
-    batch = replay_.sample(config_.batch_size, rng_);
-    is_weights.assign(batch.size(), 1.0);
-  }
+  const std::vector<const Transition*> batch =
+      replay_.sample(config_.batch_size, rng_);
   const double inv_b = 1.0 / static_cast<double>(batch.size());
   const double a_now = alpha();
 
@@ -161,12 +144,11 @@ void SacAlgorithm::one_update(TrainStats& stats) {
     if (batch[i]->terminated) targets[i] = batch[i]->reward;
   }
 
-  // --- 2) Critic updates (importance-weighted MSE to targets): one
-  // forward/backward batch per critic instead of per sample.
+  // --- 2) Critic updates (MSE to targets): one forward/backward batch per
+  // critic instead of per sample.
   q1_.zero_grad();
   q2_.zero_grad();
   double q_loss = 0.0;
-  std::vector<double> new_priorities(per_ ? batch.size() : 0);
   mb_qin_.reshape(batch.size(), obs_dim_ + act_dim_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Transition& tr = *batch[i];
@@ -180,17 +162,14 @@ void SacAlgorithm::one_update(TrainStats& stats) {
   mb_d1_.reshape(batch.size(), 1);
   mb_d2_.reshape(batch.size(), 1);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double w = is_weights[i];
     const double e1 = cv1(i, 0) - targets[i];
     const double e2 = cv2(i, 0) - targets[i];
-    mb_d1_(i, 0) = inv_b * w * e1;
-    mb_d2_(i, 0) = inv_b * w * e2;
-    q_loss += 0.5 * inv_b * w * (e1 * e1 + e2 * e2);
-    if (per_) new_priorities[i] = 0.5 * (std::abs(e1) + std::abs(e2));
+    mb_d1_(i, 0) = inv_b * e1;
+    mb_d2_(i, 0) = inv_b * e2;
+    q_loss += 0.5 * inv_b * (e1 * e1 + e2 * e2);
   }
   q1_.backward_batch(mb_d1_);
   q2_.backward_batch(mb_d2_);
-  if (per_) per_->update_priorities(per_indices, new_priorities);
   nn::clip_grad_norm(q1_.params(), config_.max_grad_norm);
   nn::clip_grad_norm(q2_.params(), config_.max_grad_norm);
   q1_opt_->step();
@@ -302,8 +281,7 @@ TrainStats SacAlgorithm::train(const std::vector<WorkerBatch>& batches) {
   std::size_t pushed = 0;
   for (const auto& b : batches) {
     for (const auto& tr : b.transitions) {
-      if (per_) per_->push(tr);
-      else replay_.push(tr);
+      replay_.push(tr);
       ++pushed;
     }
   }

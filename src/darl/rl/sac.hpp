@@ -2,9 +2,10 @@
 //
 // Soft Actor-Critic (Haarnoja et al. 2018), the second algorithm of the
 // paper's study: off-policy maximum-entropy RL with twin Q critics, target
-// networks, a tanh-squashed Gaussian policy and automatic entropy
-// temperature tuning. Continuous action spaces only (the airdrop simulator
-// exposes a continuous steering mode for exactly this reason).
+// networks, a tanh-squashed Gaussian policy, automatic entropy temperature
+// tuning and minibatches drawn uniformly from one replay buffer.
+// Continuous action spaces only (the airdrop simulator exposes a
+// continuous steering mode for exactly this reason).
 
 #pragma once
 
@@ -15,7 +16,6 @@
 #include "darl/nn/mlp.hpp"
 #include "darl/nn/optimizer.hpp"
 #include "darl/rl/algorithm.hpp"
-#include "darl/rl/prioritized_replay.hpp"
 #include "darl/rl/replay_buffer.hpp"
 
 namespace darl::rl {
@@ -40,12 +40,6 @@ struct SacConfig {
   /// Soft bounds for the state-dependent log-std head.
   double log_std_min = kSacLogStdMin;
   double log_std_max = kSacLogStdMax;
-  /// Use proportional prioritized replay (the Ape-X ingredient, paper
-  /// §II-A) instead of uniform sampling. Critic updates are corrected with
-  /// importance-sampling weights and priorities track TD errors.
-  bool prioritized_replay = false;
-  double per_alpha = 0.6;  ///< priority shaping exponent
-  double per_beta = 0.4;   ///< importance-sampling correction exponent
 };
 
 /// SAC learner. See Algorithm for the learner/actor role split.
@@ -59,9 +53,7 @@ class SacAlgorithm final : public Algorithm {
   TrainStats train(const std::vector<WorkerBatch>& batches) override;
 
   double alpha() const;
-  std::size_t replay_size() const {
-    return per_ ? per_->size() : replay_.size();
-  }
+  std::size_t replay_size() const { return replay_.size(); }
 
  private:
   void polyak_update();
@@ -77,7 +69,6 @@ class SacAlgorithm final : public Algorithm {
   Vec log_alpha_, log_alpha_grad_;
   std::unique_ptr<nn::Adam> actor_opt_, q1_opt_, q2_opt_, alpha_opt_;
   ReplayBuffer replay_;
-  std::unique_ptr<PrioritizedReplayBuffer> per_;
   double update_carry_ = 0.0;
   double target_entropy_ = 0.0;
 

@@ -102,7 +102,9 @@ TEST_P(ParetoDimensionTest, FrontDefinitionHoldsInAnyDimension) {
     EXPECT_EQ(in_front, !dominated);
   }
   // In higher dimensions a larger share of random points is non-dominated.
-  if (dims >= 4) EXPECT_GT(front.size(), 5u);
+  if (dims >= 4) {
+    EXPECT_GT(front.size(), 5u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, ParetoDimensionTest,

@@ -1,17 +1,17 @@
 // Tests for the gym-style environment substrate: spaces, lifecycle rules,
-// wrappers, vectorization and the classic-control environments.
+// wrappers and the classic-control environments.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "darl/common/error.hpp"
 #include "darl/common/rng.hpp"
 #include "darl/env/cartpole.hpp"
 #include "darl/env/gridworld.hpp"
-#include "darl/env/mountain_car.hpp"
 #include "darl/env/pendulum.hpp"
-#include "darl/env/vec_env.hpp"
 #include "darl/env/wrappers.hpp"
 
 namespace darl::env {
@@ -162,71 +162,200 @@ TEST(EpisodeMonitor, RecordsRewardScoreAndLength) {
   EXPECT_DOUBLE_EQ(env->episodes()[0].total_reward, total);
   EXPECT_DOUBLE_EQ(env->episodes()[0].score, total);  // no domain score
   EXPECT_EQ(env->episodes()[0].length, 3u);
-  EXPECT_DOUBLE_EQ(env->mean_recent_reward(10), total);
-  EXPECT_DOUBLE_EQ(env->mean_recent_score(10), total);
 }
 
-TEST(RewardScale, MultipliesRewards) {
-  auto env = std::make_unique<RewardScale>(std::make_unique<CartPoleEnv>(), 0.5);
-  env->seed(3);
-  env->reset();
-  EXPECT_DOUBLE_EQ(env->step({0.0}).reward, 0.5);
-}
+/// Two-step episodes of reward 1 with a domain score of 42 once finished:
+/// separates EpisodeMonitor's score from its reward sum.
+class ScoredEnv final : public EnvBase {
+ public:
+  const BoxSpace& observation_space() const override { return obs_; }
+  const ActionSpace& action_space() const override { return act_; }
+  const std::string& name() const override { return name_; }
+  std::optional<double> episode_score() const override {
+    return finished_ ? std::optional<double>(42.0) : std::nullopt;
+  }
 
-TEST(ObservationNormalizer, OutputsBoundedObservations) {
-  auto env = std::make_unique<ObservationNormalizer>(
-      std::make_unique<PendulumEnv>(), 5.0);
-  env->seed(4);
-  Vec obs = env->reset();
-  for (int i = 0; i < 50; ++i) {
+ protected:
+  Vec do_reset(Rng&) override {
+    finished_ = false;
+    return {0.0};
+  }
+  StepResult do_step(Rng&, const Vec&) override {
+    StepResult r;
+    r.observation = {static_cast<double>(episode_steps())};
+    r.reward = 1.0;
+    r.terminated = episode_steps() == 2;
+    finished_ = r.terminated;
+    return r;
+  }
+
+ private:
+  BoxSpace obs_{1, -10.0, 10.0};
+  ActionSpace act_{BoxSpace(1, -1.0, 1.0)};
+  std::string name_ = "Scored";
+  bool finished_ = false;
+};
+
+TEST(CartPole, ResetStateIsSmallAndSpacesMatchGym) {
+  CartPoleEnv env;
+  EXPECT_EQ(env.name(), "CartPole");
+  EXPECT_EQ(env.observation_space().dim(), 4u);
+  ASSERT_TRUE(env.action_space().is_discrete());
+  EXPECT_EQ(env.action_space().discrete().n(), 2u);
+  for (std::uint64_t s = 0; s < 20; ++s) {
+    env.seed(s);
+    const Vec obs = env.reset();
+    ASSERT_EQ(obs.size(), 4u);
     for (double v : obs) {
-      EXPECT_LE(std::abs(v), 5.0);
-      EXPECT_TRUE(std::isfinite(v));
+      EXPECT_GE(v, -0.05);
+      EXPECT_LT(v, 0.05);
     }
-    obs = env->step({0.0}).observation;
   }
-  EXPECT_EQ(env->observation_space().dim(), 3u);
 }
 
-TEST(MountainCar, NeedsMomentumToReachTheGoal) {
-  env::MountainCarEnv env;
-  env.seed(6);
+TEST(CartPole, ActionsPushTheCartInOppositeDirections) {
+  CartPoleEnv left, right;
+  left.seed(8);
+  right.seed(8);
+  const Vec start = left.reset();
+  right.reset();
+  // Velocity (index 1) moves by the force's sign within one 0.02 s step.
+  const Vec l = left.step({0.0}).observation;
+  const Vec r = right.step({1.0}).observation;
+  EXPECT_LT(l[1], start[1]);
+  EXPECT_GT(r[1], start[1]);
+  // Position integrates the old velocity, so both agree on x after step 1.
+  EXPECT_DOUBLE_EQ(l[0], r[0]);
+}
+
+TEST(CartPole, FactoryAppliesTimeLimit) {
+  auto env = make_cartpole_factory(7)();
+  EXPECT_EQ(env->name(), "CartPole");
+  env->seed(12);
+  env->reset();
+  StepResult r;
+  for (int i = 0; i < 7; ++i) {
+    r = env->step({static_cast<double>(i % 2)});  // alternate: stays upright
+    ASSERT_FALSE(r.terminated) << "step " << i;
+    if (i < 6) {
+      EXPECT_FALSE(r.truncated) << "step " << i;
+    }
+  }
+  EXPECT_TRUE(r.truncated);
+}
+
+TEST(Pendulum, TorqueIsClippedToTheActionBox) {
+  PendulumEnv clipped, at_limit;
+  clipped.seed(6);
+  at_limit.seed(6);
+  clipped.reset();
+  at_limit.reset();
+  for (int i = 0; i < 10; ++i) {
+    const StepResult a = clipped.step({100.0});
+    const StepResult b = at_limit.step({2.0});
+    EXPECT_EQ(a.reward, b.reward) << "step " << i;
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(a.observation[j], b.observation[j]) << "step " << i;
+    }
+  }
+}
+
+TEST(Pendulum, ResetAndStepsStayInsideObservationBox) {
+  PendulumEnv env;
+  for (std::uint64_t s = 0; s < 10; ++s) {
+    env.seed(s);
+    const Vec obs = env.reset();
+    EXPECT_TRUE(env.observation_space().contains(obs));
+    EXPECT_LE(std::abs(obs[2]), 1.0);  // initial speed in [-1, 1)
+  }
+  // Full torque for a long time saturates the speed at 8 rad/s.
+  env.seed(1);
   env.reset();
-  // Pushing right forever does NOT reach the goal (under-powered car).
-  bool reached = false;
   for (int i = 0; i < 300; ++i) {
-    if (env.step({1.0}).terminated) {
-      reached = true;
-      break;
-    }
+    const StepResult r = env.step({2.0});
+    EXPECT_TRUE(env.observation_space().contains(r.observation)) << i;
   }
-  EXPECT_FALSE(reached);
-
-  // A bang-bang policy (push in the direction of the velocity) does.
-  env.seed(6);
-  Vec obs = env.reset();
-  reached = false;
-  for (int i = 0; i < 999 && !reached; ++i) {
-    const double force = obs[1] >= 0.0 ? 1.0 : -1.0;
-    const env::StepResult r = env.step({force});
-    obs = r.observation;
-    if (r.terminated) {
-      reached = true;
-      EXPECT_GT(r.reward, 90.0);  // success bonus
-    }
-  }
-  EXPECT_TRUE(reached);
+  EXPECT_EQ(env.take_compute_cost(), 300.0);
 }
 
-TEST(MountainCar, StateStaysInBounds) {
-  env::MountainCarEnv env;
-  env.seed(7);
-  Rng rng(7);
-  Vec obs = env.reset();
-  for (int i = 0; i < 500; ++i) {
-    const env::StepResult r = env.step({rng.uniform(-1.0, 1.0)});
-    EXPECT_TRUE(env.observation_space().contains(r.observation));
-    if (r.terminated) break;
+TEST(Pendulum, FactoryAppliesTimeLimit) {
+  auto env = make_pendulum_factory(4)();
+  EXPECT_EQ(env->name(), "Pendulum");
+  EXPECT_TRUE(env->action_space().is_box());
+  env->seed(2);
+  env->reset();
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(env->step({0.0}).done());
+  EXPECT_TRUE(env->step({0.0}).truncated);
+}
+
+TEST(EnvWrapper, ForwardsSpacesNameCostAndScore) {
+  auto inner = std::make_unique<CartPoleEnv>();
+  const CartPoleEnv* raw = inner.get();
+  TimeLimit env(std::make_unique<EpisodeMonitor>(std::move(inner)), 50);
+  EXPECT_EQ(env.name(), raw->name());
+  EXPECT_EQ(&env.observation_space(), &raw->observation_space());
+  EXPECT_EQ(&env.action_space(), &raw->action_space());
+  EXPECT_FALSE(env.episode_score().has_value());
+  env.seed(3);
+  env.reset();
+  for (int i = 0; i < 3; ++i) env.step({0.0});
+  EXPECT_DOUBLE_EQ(env.take_compute_cost(), 3.0);
+  EXPECT_DOUBLE_EQ(env.take_compute_cost(), 0.0);
+}
+
+TEST(EnvWrapper, RejectsNullInnerAndZeroLimit) {
+  EXPECT_THROW((EpisodeMonitor{nullptr}), InvalidArgument);
+  EXPECT_THROW((TimeLimit{nullptr, 5}), InvalidArgument);
+  EXPECT_THROW((TimeLimit{std::make_unique<CartPoleEnv>(), 0}), InvalidArgument);
+}
+
+TEST(TimeLimit, TerminationOnTheLastStepIsNotTruncation) {
+  // Find the step at which pushing right topples the pole...
+  CartPoleEnv probe;
+  probe.seed(3);
+  probe.reset();
+  std::size_t fall = 1;
+  while (!probe.step({1.0}).terminated) ++fall;
+  ASSERT_GT(fall, 1u);
+  // ...then cap the episode at exactly that many steps.
+  TimeLimit env(std::make_unique<CartPoleEnv>(), fall);
+  env.seed(3);
+  env.reset();
+  StepResult r;
+  for (std::size_t i = 0; i < fall; ++i) r = env.step({1.0});
+  EXPECT_TRUE(r.terminated);
+  EXPECT_FALSE(r.truncated);
+}
+
+TEST(EpisodeMonitor, ResetDiscardsUnfinishedEpisode) {
+  EpisodeMonitor env(
+      std::make_unique<TimeLimit>(std::make_unique<PendulumEnv>(), 4));
+  env.seed(9);
+  env.reset();
+  env.step({0.0});
+  env.step({0.0});
+  env.reset();  // abandon a 2-step episode: nothing is recorded
+  EXPECT_TRUE(env.episodes().empty());
+  double total = 0.0;
+  for (int i = 0; i < 4; ++i) total += env.step({0.0}).reward;
+  ASSERT_EQ(env.episodes().size(), 1u);
+  EXPECT_EQ(env.episodes()[0].length, 4u);
+  EXPECT_DOUBLE_EQ(env.episodes()[0].total_reward, total);
+}
+
+TEST(EpisodeMonitor, ScoreComesFromTheEnvironmentWhenDefined) {
+  EpisodeMonitor env(std::make_unique<ScoredEnv>());
+  env.seed(1);
+  for (int ep = 0; ep < 2; ++ep) {
+    env.reset();
+    env.step({0.0});
+    EXPECT_TRUE(env.step({0.0}).terminated);
+  }
+  ASSERT_EQ(env.episodes().size(), 2u);
+  for (const EpisodeRecord& rec : env.episodes()) {
+    EXPECT_DOUBLE_EQ(rec.total_reward, 2.0);
+    EXPECT_DOUBLE_EQ(rec.score, 42.0);
+    EXPECT_EQ(rec.length, 2u);
   }
 }
 
@@ -290,45 +419,6 @@ TEST(GridWorld, ObservationIsOneHot) {
   for (double v : obs) sum += v;
   EXPECT_DOUBLE_EQ(sum, 1.0);
   EXPECT_DOUBLE_EQ(obs[0], 1.0);  // start at (0,0)
-}
-
-TEST(SyncVecEnv, StepsAllAndAutoResets) {
-  SyncVecEnv vec(make_cartpole_factory(10), 3, 42);
-  auto obs = vec.reset();
-  EXPECT_EQ(obs.size(), 3u);
-  std::size_t done_seen = 0;
-  for (int step = 0; step < 30; ++step) {
-    const VecStepResult r = vec.step(
-        {Vec{1.0}, Vec{1.0}, Vec{1.0}});
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(r.observation[i].size(), 4u);
-      if (r.terminated[i] || r.truncated[i]) {
-        ++done_seen;
-        EXPECT_FALSE(r.final_observation[i].empty());
-      } else {
-        EXPECT_TRUE(r.final_observation[i].empty());
-      }
-    }
-  }
-  EXPECT_GT(done_seen, 0u);
-  EXPECT_EQ(vec.all_episodes().size(), done_seen);
-}
-
-TEST(SyncVecEnv, SubEnvsGetDistinctSeeds) {
-  SyncVecEnv vec(make_cartpole_factory(), 2, 7);
-  const auto obs = vec.reset();
-  bool identical = true;
-  for (std::size_t i = 0; i < obs[0].size(); ++i) {
-    if (obs[0][i] != obs[1][i]) identical = false;
-  }
-  EXPECT_FALSE(identical);
-}
-
-TEST(SyncVecEnv, WrongActionCountThrows) {
-  SyncVecEnv vec(make_cartpole_factory(), 2, 7);
-  vec.reset();
-  EXPECT_THROW(vec.step({Vec{0.0}}), InvalidArgument);
-  EXPECT_THROW(SyncVecEnv(make_cartpole_factory(), 0, 1), InvalidArgument);
 }
 
 }  // namespace

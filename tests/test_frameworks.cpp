@@ -3,6 +3,7 @@
 // paper attributes to each framework (multi-node speedup, vectorization
 // coupling, single-node power advantage).
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -38,10 +39,15 @@ TrainRequest small_request(FrameworkKind kind, std::size_t nodes,
   return req;
 }
 
-TEST(Worker, CollectsExactStepCountAndEpisodes) {
+/// A PPO learner for CartPole's 4-d observation and 2 discrete actions.
+std::unique_ptr<rl::Algorithm> cartpole_ppo(std::uint64_t seed) {
   rl::AlgorithmSpec spec;
   spec.kind = rl::AlgoKind::PPO;
-  auto algo = rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
+  return rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), seed);
+}
+
+TEST(Worker, CollectsExactStepCountAndEpisodes) {
+  auto algo = cartpole_ppo(1);
   RolloutWorker worker(3, env::make_cartpole_factory(20)(), algo->make_actor(), 99);
   worker.sync(algo->policy_params());
 
@@ -63,9 +69,7 @@ TEST(Worker, CollectsExactStepCountAndEpisodes) {
 }
 
 TEST(Worker, CollectionContinuesAcrossCalls) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo = rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 2);
+  auto algo = cartpole_ppo(2);
   RolloutWorker worker(0, env::make_cartpole_factory(10)(), algo->make_actor(), 5);
   worker.sync(algo->policy_params());
   worker.collect(15);
@@ -76,10 +80,7 @@ TEST(Worker, CollectionContinuesAcrossCalls) {
 }
 
 TEST(Worker, ActBatchMatchesSequentialAct) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo =
-      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
+  auto algo = cartpole_ppo(1);
   auto batched = algo->make_actor();
   auto sequential = algo->make_actor();
   batched->set_params(algo->policy_params());
@@ -108,79 +109,137 @@ TEST(Worker, ActBatchMatchesSequentialAct) {
   }
 }
 
-TEST(VecWorker, CollectsContiguousPerEnvSegments) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo =
-      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  const std::size_t n_envs = 4;
-  RolloutWorker worker(1, env::make_cartpole_factory(20), n_envs,
-                       algo->make_actor(), 99);
+TEST(Worker, CollectRecordDrainsCostAndNewEpisodesOnce) {
+  auto algo = cartpole_ppo(3);
+  RolloutWorker worker(4, env::make_cartpole_factory(10)(), algo->make_actor(), 11);
   worker.sync(algo->policy_params());
 
-  const rl::WorkerBatch batch = worker.collect(64);
-  ASSERT_EQ(batch.transitions.size(), 64u);
-  const std::size_t rounds = 64 / n_envs;
-  for (std::size_t e = 0; e < n_envs; ++e) {
-    for (std::size_t t = 0; t < rounds; ++t) {
-      const rl::Transition& tr = batch.transitions[e * rounds + t];
-      if (t + 1 == rounds) {
-        // A segment cut mid-episode is marked truncated so GAE / v-trace
-        // bootstrap instead of chaining into the next sub-env's segment.
-        EXPECT_TRUE(tr.done()) << "env " << e;
-      } else if (!tr.done()) {
-        // Mid-episode: this step's next_obs is the next step's obs.
-        const rl::Transition& nx = batch.transitions[e * rounds + t + 1];
-        ASSERT_EQ(tr.next_obs.size(), nx.obs.size());
-        for (std::size_t j = 0; j < nx.obs.size(); ++j) {
-          EXPECT_EQ(tr.next_obs[j], nx.obs[j]) << "env " << e << " step " << t;
-        }
-      }
+  // Episodes last at most 10 steps, so each 25-step record finishes at
+  // least two of them.
+  const BatchRecord first = worker.collect_record(25, 2, 5);
+  const std::size_t after_first = worker.episodes().size();
+  const BatchRecord second = worker.collect_record(25, 3, 6);
+
+  EXPECT_EQ(first.node, 2u);
+  EXPECT_EQ(first.version, 5u);
+  EXPECT_EQ(second.node, 3u);
+  EXPECT_EQ(second.version, 6u);
+  for (const BatchRecord* rec : {&first, &second}) {
+    EXPECT_EQ(rec->batch.worker_id, 4u);
+    EXPECT_EQ(rec->batch.transitions.size(), 25u);
+    // Each record drains only its own call's cost.
+    EXPECT_EQ(rec->cost.steps, 25u);
+    EXPECT_EQ(rec->cost.inferences, 25u);
+    EXPECT_GT(rec->cost.env_cost_units, 0.0);
+    EXPECT_GE(rec->new_episodes.size(), 2u);
+  }
+  EXPECT_EQ(worker.take_cost().steps, 0u);
+
+  // The first record carries every episode so far; the second exactly the
+  // ones finished since, in order.
+  const auto& all = worker.episodes();
+  ASSERT_EQ(first.new_episodes.size(), after_first);
+  ASSERT_EQ(after_first + second.new_episodes.size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const env::EpisodeRecord& got = i < after_first
+                                        ? first.new_episodes[i]
+                                        : second.new_episodes[i - after_first];
+    EXPECT_EQ(got.total_reward, all[i].total_reward) << "episode " << i;
+    EXPECT_EQ(got.score, all[i].score) << "episode " << i;
+    EXPECT_EQ(got.length, all[i].length) << "episode " << i;
+  }
+}
+
+TEST(Worker, RejectsNullEnvironmentOrActor) {
+  auto algo = cartpole_ppo(1);
+  EXPECT_THROW(RolloutWorker(0, nullptr, algo->make_actor(), 1), InvalidArgument);
+  EXPECT_THROW(RolloutWorker(0, env::make_cartpole_factory(10)(), nullptr, 1),
+               InvalidArgument);
+}
+
+TEST(Worker, SameSeedCollectsIdenticalBatches) {
+  auto algo = cartpole_ppo(4);
+  auto make = [&](std::uint64_t seed) {
+    auto w = std::make_unique<RolloutWorker>(
+        0, env::make_cartpole_factory(15)(), algo->make_actor(), seed);
+    w->sync(algo->policy_params());
+    return w;
+  };
+  auto a = make(21), b = make(21), c = make(22);
+  const rl::WorkerBatch ba = a->collect(40);
+  const rl::WorkerBatch bb = b->collect(40);
+  const rl::WorkerBatch bc = c->collect(40);
+  bool differs = false;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const rl::Transition& x = ba.transitions[i];
+    const rl::Transition& y = bb.transitions[i];
+    EXPECT_EQ(x.obs, y.obs) << i;
+    EXPECT_EQ(x.action, y.action) << i;
+    EXPECT_EQ(x.reward, y.reward) << i;
+    EXPECT_EQ(x.next_obs, y.next_obs) << i;
+    EXPECT_EQ(x.log_prob, y.log_prob) << i;
+    EXPECT_EQ(x.terminated, y.terminated) << i;
+    EXPECT_EQ(x.truncated, y.truncated) << i;
+    differs = differs || x.obs != bc.transitions[i].obs;
+  }
+  EXPECT_TRUE(differs);  // another seed, another trajectory
+}
+
+TEST(Worker, TransitionsChainAndResetAtEpisodeEnds) {
+  auto algo = cartpole_ppo(5);
+  RolloutWorker worker(1, env::make_cartpole_factory(8)(), algo->make_actor(), 13);
+  worker.sync(algo->policy_params());
+  const rl::WorkerBatch first = worker.collect(30);
+  const rl::WorkerBatch second = worker.collect(30);
+  std::vector<rl::Transition> all = first.transitions;
+  all.insert(all.end(), second.transitions.begin(), second.transitions.end());
+
+  std::size_t done = 0;
+  std::size_t steps_in_episode = 0;
+  for (std::size_t i = 0; i + 1 < all.size(); ++i) {
+    ++steps_in_episode;
+    EXPECT_LE(steps_in_episode, 8u) << i;  // the time limit holds
+    if (all[i].terminated || all[i].truncated) {
+      ++done;
+      steps_in_episode = 0;
+      // The next transition starts from a fresh CartPole reset.
+      for (double v : all[i + 1].obs) EXPECT_LE(std::abs(v), 0.05) << i;
+    } else {
+      // Otherwise it continues from where this one ended, across calls too.
+      EXPECT_EQ(all[i].next_obs, all[i + 1].obs) << i;
     }
   }
-
-  const CollectCost cost = worker.take_cost();
-  EXPECT_EQ(cost.steps, 64u);
-  EXPECT_EQ(cost.inferences, 64u);
-  EXPECT_GT(cost.env_cost_units, 0.0);
-  EXPECT_EQ(worker.n_envs(), n_envs);
-
-  // 20-step time limit across 4 sub-envs for 16 rounds: episodes finished.
-  EXPECT_GE(worker.episodes().size(), 1u);
+  if (all.back().terminated || all.back().truncated) ++done;
+  EXPECT_EQ(worker.episodes().size(), done);
 }
 
-TEST(VecWorker, IdenticalSeedsProduceIdenticalBatches) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo =
-      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  RolloutWorker a(0, env::make_cartpole_factory(20), 3, algo->make_actor(), 7);
-  RolloutWorker b(0, env::make_cartpole_factory(20), 3, algo->make_actor(), 7);
-  a.sync(algo->policy_params());
-  b.sync(algo->policy_params());
-
-  const rl::WorkerBatch ba = a.collect(24);
-  const rl::WorkerBatch bb = b.collect(24);
-  ASSERT_EQ(ba.transitions.size(), bb.transitions.size());
-  for (std::size_t i = 0; i < ba.transitions.size(); ++i) {
-    EXPECT_EQ(ba.transitions[i].obs, bb.transitions[i].obs);
-    EXPECT_EQ(ba.transitions[i].action, bb.transitions[i].action);
-    EXPECT_EQ(ba.transitions[i].reward, bb.transitions[i].reward);
-    EXPECT_EQ(ba.transitions[i].log_prob, bb.transitions[i].log_prob);
-    EXPECT_EQ(ba.transitions[i].terminated, bb.transitions[i].terminated);
-    EXPECT_EQ(ba.transitions[i].truncated, bb.transitions[i].truncated);
+TEST(MakeWorkers, StreamsDependOnGlobalIdNotOnTheHost) {
+  auto algo = cartpole_ppo(6);
+  const env::EnvFactory factory = env::make_cartpole_factory(12);
+  // Worker 2 built as the third of one host's three workers, and as the
+  // only worker of another host, acts identically.
+  auto one_host = make_workers(factory, *algo, 77, 0, 3);
+  auto other_host = make_workers(factory, *algo, 77, 2, 1);
+  ASSERT_EQ(one_host.size(), 3u);
+  ASSERT_EQ(other_host.size(), 1u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(one_host[i]->id(), i);
+  EXPECT_EQ(other_host[0]->id(), 2u);
+  for (auto* w : {one_host[1].get(), one_host[2].get(), other_host[0].get()}) {
+    w->sync(algo->policy_params());
   }
-}
-
-TEST(VecWorker, RejectsStepCountNotDivisibleByEnvs) {
-  rl::AlgorithmSpec spec;
-  spec.kind = rl::AlgoKind::PPO;
-  auto algo =
-      rl::make_algorithm(spec, 4, env::ActionSpace(env::DiscreteSpace(2)), 1);
-  RolloutWorker worker(0, env::make_cartpole_factory(20), 4,
-                       algo->make_actor(), 3);
-  worker.sync(algo->policy_params());
-  EXPECT_THROW(worker.collect(10), InvalidArgument);
+  const rl::WorkerBatch a = one_host[2]->collect(30);
+  const rl::WorkerBatch b = other_host[0]->collect(30);
+  const rl::WorkerBatch sibling = one_host[1]->collect(30);
+  EXPECT_EQ(a.worker_id, 2u);
+  EXPECT_EQ(b.worker_id, 2u);
+  bool sibling_differs = false;
+  for (std::size_t i = 0; i < 30; ++i) {
+    EXPECT_EQ(a.transitions[i].obs, b.transitions[i].obs) << i;
+    EXPECT_EQ(a.transitions[i].action, b.transitions[i].action) << i;
+    EXPECT_EQ(a.transitions[i].log_prob, b.transitions[i].log_prob) << i;
+    sibling_differs = sibling_differs || a.transitions[i].obs != sibling.transitions[i].obs;
+  }
+  EXPECT_TRUE(sibling_differs);
 }
 
 TEST(Backends, FactoryAndNames) {

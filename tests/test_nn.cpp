@@ -152,18 +152,7 @@ TEST(Adam, MinimizesQuadratic) {
   EXPECT_EQ(opt.steps_taken(), 2000u);
 }
 
-TEST(Sgd, MomentumMinimizesQuadratic) {
-  Vec w{4.0};
-  Vec g(1, 0.0);
-  Sgd opt({{&w, &g, "w"}}, 0.05, 0.9);
-  for (int i = 0; i < 500; ++i) {
-    g[0] = 2.0 * w[0];
-    opt.step();
-  }
-  EXPECT_NEAR(w[0], 0.0, 1e-3);
-}
-
-TEST(Optimizer, ValidationAndZeroGrad) {
+TEST(Adam, ValidationAndZeroGrad) {
   Vec w{1.0};
   Vec g{5.0};
   Adam opt({{&w, &g, "w"}}, 0.1);
@@ -176,6 +165,59 @@ TEST(Optimizer, ValidationAndZeroGrad) {
   opt.set_learning_rate(0.2);
   EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.2);
   EXPECT_THROW(opt.set_learning_rate(0.0), InvalidArgument);
+}
+
+TEST(Adam, RejectsBadHyperparametersAndNullRefs) {
+  Vec w{1.0};
+  Vec g{0.0};
+  EXPECT_THROW(Adam({{&w, &g, "w"}}, 0.1, 1.0), InvalidArgument);
+  EXPECT_THROW(Adam({{&w, &g, "w"}}, 0.1, -0.1), InvalidArgument);
+  EXPECT_THROW(Adam({{&w, &g, "w"}}, 0.1, 0.9, 1.0), InvalidArgument);
+  EXPECT_THROW(Adam({{&w, &g, "w"}}, 0.1, 0.9, 0.999, 0.0), InvalidArgument);
+  EXPECT_THROW(Adam({{nullptr, &g, "w"}}, 0.1), InvalidArgument);
+  EXPECT_THROW(Adam({{&w, nullptr, "w"}}, 0.1), InvalidArgument);
+  EXPECT_NO_THROW(Adam({{&w, &g, "w"}}, 0.1, 0.0, 0.0));
+}
+
+TEST(Adam, FirstStepMovesEachWeightByTheLearningRate) {
+  // Bias correction makes step 1 equal lr * g / (|g| + eps): a move of lr
+  // against the gradient's sign, whatever its magnitude.
+  Vec w{0.0, 1.0, -2.0, 3.0, 4.0};
+  const Vec start = w;
+  Vec g{1e-3, -5.0, 250.0, -0.25, 0.0};
+  Adam opt({{&w, &g, "w"}}, 0.01);
+  opt.step();
+  EXPECT_EQ(opt.steps_taken(), 1u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(w[i] - start[i], g[i] > 0.0 ? -0.01 : 0.01, 1e-7) << i;
+  }
+  EXPECT_EQ(w[4], start[4]);  // zero gradient: weight untouched
+}
+
+TEST(Adam, VectorLanesMatchTheScalarTail) {
+  // A 7-element tensor runs one 4-wide lane block plus a 3-element scalar
+  // tail; seven 1-element tensors run the scalar tail only. Every weight
+  // must carry the same bits either way.
+  constexpr std::size_t kN = 7;
+  Vec wide(kN), wide_g(kN);
+  std::vector<Vec> single(kN, Vec(1)), single_g(kN, Vec(1));
+  Rng init(3);
+  for (std::size_t i = 0; i < kN; ++i) wide[i] = single[i][0] = init.normal();
+  Adam wide_opt({{&wide, &wide_g, "w"}}, 3e-3);
+  std::vector<ParamRef> refs;
+  for (std::size_t i = 0; i < kN; ++i) refs.push_back({&single[i], &single_g[i], "s"});
+  Adam single_opt(refs, 3e-3);
+  Rng grads(4);
+  for (int step = 0; step < 25; ++step) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      wide_g[i] = single_g[i][0] = grads.normal(0.0, 2.0);
+    }
+    wide_opt.step();
+    single_opt.step();
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(wide[i], single[i][0]) << "step " << step << " elem " << i;
+    }
+  }
 }
 
 TEST(ClipGradNorm, ScalesDownLargeGradients) {

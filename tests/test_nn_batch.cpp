@@ -280,7 +280,11 @@ TEST(NnBatch, AdamStepMatchesScalarFormulaBitwise) {
   }
   std::vector<ParamRef> refs;
   for (std::size_t i = 0; i < lengths.size(); ++i) {
-    refs.push_back({&w[i], &g[i], "p" + std::to_string(i)});
+    // Appended rather than `"p" + string`: GCC 12 at -O3 flags that form
+    // with a false -Wrestrict.
+    std::string name = "p";
+    name += std::to_string(i);
+    refs.push_back({&w[i], &g[i], name});
   }
   const double lr = 3e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
   Adam adam(refs, lr, beta1, beta2, eps);

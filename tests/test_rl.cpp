@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "darl/common/error.hpp"
@@ -15,8 +16,8 @@
 #include "darl/rl/factory.hpp"
 #include "darl/rl/gae.hpp"
 #include "darl/rl/impala.hpp"
-#include "darl/rl/prioritized_replay.hpp"
 #include "darl/rl/replay_buffer.hpp"
+#include "darl/rl/sac.hpp"
 
 namespace darl::rl {
 namespace {
@@ -204,138 +205,135 @@ TEST(ReplayBuffer, RingOverwriteAndSampling) {
   EXPECT_THROW(empty.sample(1, rng), InvalidArgument);
 }
 
-TEST(SumTree, SetGetTotalAndMax) {
-  SumTree tree(5);
-  tree.set(0, 1.0);
-  tree.set(3, 4.0);
-  tree.set(4, 2.0);
-  EXPECT_DOUBLE_EQ(tree.get(3), 4.0);
-  EXPECT_DOUBLE_EQ(tree.total(), 7.0);
-  EXPECT_DOUBLE_EQ(tree.max_value(), 4.0);
-  tree.set(3, 0.5);
-  EXPECT_DOUBLE_EQ(tree.total(), 3.5);
-  EXPECT_THROW(tree.set(5, 1.0), InvalidArgument);
-  EXPECT_THROW(tree.set(0, -1.0), InvalidArgument);
-  EXPECT_THROW(SumTree(0), InvalidArgument);
-}
-
-TEST(SumTree, SamplePicksLeafByPrefix) {
-  SumTree tree(4);
-  tree.set(0, 1.0);  // [0, 1)
-  tree.set(1, 3.0);  // [1, 4)
-  tree.set(2, 0.0);  // empty
-  tree.set(3, 2.0);  // [4, 6)
-  EXPECT_EQ(tree.sample(0.5), 0u);
-  EXPECT_EQ(tree.sample(1.0), 1u);
-  EXPECT_EQ(tree.sample(3.9), 1u);
-  EXPECT_EQ(tree.sample(4.1), 3u);
-  EXPECT_EQ(tree.sample(5.999), 3u);
-  // Prefix at/above total clamps to the last positive leaf.
-  EXPECT_EQ(tree.sample(6.0), 3u);
-}
-
-TEST(SumTree, SamplingFrequenciesMatchWeights) {
-  SumTree tree(3);
-  tree.set(0, 1.0);
-  tree.set(1, 2.0);
-  tree.set(2, 7.0);
-  Rng rng(5);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) {
-    ++counts[tree.sample(rng.uniform(0.0, tree.total()))];
-  }
-  EXPECT_NEAR(counts[0] / 40000.0, 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / 40000.0, 0.2, 0.015);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.7, 0.02);
-}
-
-TEST(PrioritizedReplay, HighPriorityTransitionsSampledMoreOften) {
-  PrioritizedReplayBuffer buf(8, /*alpha=*/1.0);
-  for (int i = 0; i < 8; ++i) buf.push(make_tr(static_cast<double>(i), false));
-  // Give slot 3 a much larger priority than the rest.
-  std::vector<std::size_t> idx{0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<double> pri{0.1, 0.1, 0.1, 10.0, 0.1, 0.1, 0.1, 0.1};
-  buf.update_priorities(idx, pri);
-
-  Rng rng(6);
-  int hits = 0, draws = 0;
-  for (int round = 0; round < 200; ++round) {
-    const PrioritizedBatch b = buf.sample(8, 0.5, rng);
-    for (std::size_t i = 0; i < b.transitions.size(); ++i) {
-      ++draws;
-      if (b.indices[i] == 3) {
-        ++hits;
-        // Over-sampled transitions carry the smallest IS weights.
-        EXPECT_LE(b.weights[i], 1.0);
-      }
-    }
-  }
-  // p(slot 3) = 10.1/10.8-ish >> uniform 1/8.
-  EXPECT_GT(static_cast<double>(hits) / draws, 0.6);
-}
-
-TEST(PrioritizedReplay, WeightsNormalizedAndPushUsesMaxPriority) {
-  PrioritizedReplayBuffer buf(4, 0.6);
+TEST(ReplayBuffer, AtFollowsRingSlots) {
+  ReplayBuffer buf(3);
+  buf.push(make_tr(0.0, false));
   buf.push(make_tr(1.0, false));
-  buf.update_priorities({0}, {5.0});
-  buf.push(make_tr(2.0, false));  // inherits max priority (5.0)
-  EXPECT_DOUBLE_EQ(buf.priority(1), 5.0);
-
-  Rng rng(7);
-  const PrioritizedBatch b = buf.sample(16, 1.0, rng);
-  double max_w = 0.0;
-  for (double w : b.weights) {
-    EXPECT_GT(w, 0.0);
-    max_w = std::max(max_w, w);
-  }
-  EXPECT_DOUBLE_EQ(max_w, 1.0);
-  EXPECT_THROW(buf.update_priorities({9}, {1.0}), InvalidArgument);
-  EXPECT_THROW(buf.sample(4, 1.5, rng), InvalidArgument);
+  EXPECT_EQ(buf.size(), 2u);
+  EXPECT_EQ(buf.capacity(), 3u);
+  EXPECT_DOUBLE_EQ(buf.at(1).reward, 1.0);
+  for (int i = 2; i < 5; ++i) buf.push(make_tr(static_cast<double>(i), false));
+  // Pushes 3 and 4 overwrote slots 0 and 1; slot 2 still holds 2.
+  EXPECT_DOUBLE_EQ(buf.at(0).reward, 3.0);
+  EXPECT_DOUBLE_EQ(buf.at(1).reward, 4.0);
+  EXPECT_DOUBLE_EQ(buf.at(2).reward, 2.0);
 }
 
-TEST(PrioritizedReplay, RingOverwriteKeepsTreeConsistent) {
-  PrioritizedReplayBuffer buf(3, 1.0);
-  for (int i = 0; i < 7; ++i) buf.push(make_tr(static_cast<double>(i), false));
-  EXPECT_EQ(buf.size(), 3u);
-  Rng rng(8);
-  const PrioritizedBatch b = buf.sample(30, 0.4, rng);
-  for (const Transition* t : b.transitions) {
-    EXPECT_GE(t->reward, 4.0);  // only the latest three survive
-  }
+TEST(ReplayBuffer, SamplingIsSeedDeterministicAndCoversEverySlot) {
+  ReplayBuffer buf(4);
+  for (int i = 0; i < 4; ++i) buf.push(make_tr(static_cast<double>(i), false));
+  Rng a(5), b(5);
+  const auto first = buf.sample(4000, a);
+  const auto again = buf.sample(4000, b);
+  ASSERT_EQ(first.size(), 4000u);
+  EXPECT_EQ(first, again);
+  std::vector<int> hits(4, 0);
+  for (const Transition* t : first) ++hits[static_cast<std::size_t>(t->reward)];
+  for (int h : hits) EXPECT_NEAR(h, 1000, 150);
 }
 
-TEST(SacTrain, PrioritizedReplayPathRuns) {
-  AlgorithmSpec spec;
-  spec.kind = AlgoKind::SAC;
-  spec.sac.warmup_steps = 32;
-  spec.sac.batch_size = 16;
-  spec.sac.updates_per_step = 0.5;
-  spec.sac.prioritized_replay = true;
-  auto algo =
-      make_algorithm(spec, 3, env::ActionSpace(env::BoxSpace(1, -2.0, 2.0)), 19);
-  auto actor = algo->make_actor();
-
-  auto env = env::make_pendulum_factory(50)();
-  env->seed(4);
-  Rng rng(4);
+/// `n` synthetic Pendulum-shaped transitions (3-d obs, 1-d torque in
+/// [-2, 2]), drawn from `rng`.
+WorkerBatch random_pendulum_steps(std::size_t n, Rng& rng) {
   WorkerBatch batch;
-  Vec obs = env->reset();
-  for (int i = 0; i < 96; ++i) {
-    const ActOutput a = actor->act(obs, rng);
-    const env::StepResult r = env->step(a.action);
+  for (std::size_t i = 0; i < n; ++i) {
     Transition t;
-    t.obs = obs;
-    t.action = a.action;
-    t.reward = r.reward;
-    t.next_obs = r.observation;
-    t.terminated = r.terminated;
-    t.truncated = r.truncated;
+    t.obs = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-8.0, 8.0)};
+    t.action = {rng.uniform(-2.0, 2.0)};
+    t.reward = rng.uniform(-16.0, 0.0);
+    t.next_obs = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                  rng.uniform(-8.0, 8.0)};
+    t.terminated = false;
+    t.truncated = i + 1 == n;
     batch.transitions.push_back(t);
-    obs = r.done() ? env->reset() : r.observation;
   }
-  const TrainStats stats = algo->train({batch});
-  EXPECT_GT(stats.gradient_steps, 0u);
-  EXPECT_TRUE(std::isfinite(stats.value_loss));
+  return batch;
+}
+
+const env::ActionSpace kTorque{env::BoxSpace(1, -2.0, 2.0)};
+
+TEST(SacAlgorithm, RejectsInvalidConfig) {
+  SacConfig base;
+  base.hidden = {8};
+  base.replay_capacity = 64;
+  auto build = [](SacConfig cfg, std::size_t obs_dim = 3) {
+    return SacAlgorithm(obs_dim, kTorque, std::move(cfg), 1);
+  };
+  EXPECT_NO_THROW(build(base));
+  EXPECT_THROW(build(base, 0), InvalidArgument);
+  EXPECT_THROW(SacAlgorithm(3, env::ActionSpace(env::DiscreteSpace(2)), base, 1),
+               InvalidArgument);
+  const std::vector<std::function<void(SacConfig&)>> breakers{
+      [](SacConfig& c) { c.batch_size = 0; },
+      [](SacConfig& c) { c.tau = 0.0; },
+      [](SacConfig& c) { c.tau = 1.5; },
+      [](SacConfig& c) { c.updates_per_step = -0.5; },
+      [](SacConfig& c) { c.init_alpha = 0.0; },
+      [](SacConfig& c) { c.replay_capacity = 0; }};
+  for (std::size_t i = 0; i < breakers.size(); ++i) {
+    SacConfig cfg = base;
+    breakers[i](cfg);
+    EXPECT_THROW(build(cfg), InvalidArgument) << "breaker " << i;
+  }
+}
+
+TEST(SacTrain, ReplayCapacityBoundsStoredTransitions) {
+  SacConfig cfg;
+  cfg.replay_capacity = 10;
+  cfg.warmup_steps = 1000;  // never leaves warmup: no updates
+  SacAlgorithm sac(3, kTorque, cfg, 4);
+  Rng data(8);
+  const TrainStats s = sac.train({random_pendulum_steps(25, data)});
+  EXPECT_EQ(s.samples, 25u);
+  EXPECT_EQ(s.gradient_steps, 0u);
+  EXPECT_EQ(sac.replay_size(), 10u);
+  EXPECT_DOUBLE_EQ(sac.alpha(), cfg.init_alpha);
+}
+
+TEST(SacTrain, FractionalUpdateRateCarriesAcrossCalls) {
+  SacConfig cfg;
+  cfg.hidden = {8};
+  cfg.batch_size = 4;
+  cfg.warmup_steps = 0;
+  cfg.updates_per_step = 0.25;
+  cfg.replay_capacity = 64;
+  SacAlgorithm sac(3, kTorque, cfg, 6);
+  Rng data(9);
+  // Fewer transitions than one minibatch: no update, no carry accrued.
+  EXPECT_EQ(sac.train({random_pendulum_steps(3, data)}).gradient_steps, 0u);
+  // 6 * 0.25 = 1.5 -> 1 update, 0.5 carried.
+  EXPECT_EQ(sac.train({random_pendulum_steps(6, data)}).gradient_steps, 1u);
+  // 0.5 + 1.5 = 2 updates, nothing carried.
+  EXPECT_EQ(sac.train({random_pendulum_steps(6, data)}).gradient_steps, 2u);
+  // Two batches in one call pool their transitions: 0.5 + 0.5 = 1.
+  EXPECT_EQ(sac.train({random_pendulum_steps(2, data),
+                       random_pendulum_steps(2, data)})
+                .gradient_steps,
+            1u);
+  EXPECT_EQ(sac.replay_size(), 19u);
+}
+
+TEST(SacTrain, SameSeedAndDataGiveIdenticalParameters) {
+  SacConfig cfg;
+  cfg.hidden = {16};
+  cfg.batch_size = 8;
+  cfg.warmup_steps = 0;
+  cfg.updates_per_step = 1.0;
+  cfg.replay_capacity = 64;
+  auto run = [&](std::uint64_t seed) {
+    SacAlgorithm sac(3, kTorque, cfg, seed);
+    Rng data(21);
+    for (int call = 0; call < 3; ++call) sac.train({random_pendulum_steps(16, data)});
+    return std::make_pair(sac.policy_params(), sac.alpha());
+  };
+  const auto a = run(30);
+  const auto b = run(30);
+  const auto c = run(31);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
+  EXPECT_NE(a.first, c.first);
+  // 48 updates of the temperature moved it off its initial value.
+  EXPECT_NE(a.second, cfg.init_alpha);
 }
 
 TEST(Factory, BuildsPpoAndSac) {

@@ -13,7 +13,9 @@
 #                    fields, the global lock-order graph, blocking calls
 #                    under locks, cv-wait predicates, atomic orderings
 #                    (suppressions in tools/darl_verify.supp)
-#   3. build/        Release-style tree, full ctest suite
+#   3. build/        Release-style tree configured with
+#                    DARL_WARNINGS_AS_ERRORS=ON (every compiler warning
+#                    fails the build), full ctest suite
 #   4. clang-tidy    optional second opinion (no-ops when absent);
 #                    thread-safety + concurrency findings are errors
 #   5. build-ubsan/  UndefinedBehaviorSanitizer tree (DARL_SANITIZE=
@@ -98,11 +100,12 @@ stage() {
   echo "=== $1 ==="
 }
 
-run_tree() {
-  local dir="$1" sanitize="$2"
-  shift 2
-  echo "--- [$dir] configure (DARL_SANITIZE='$sanitize') ---"
-  cmake -B "$dir" -S . -DDARL_SANITIZE="$sanitize"
+run_tree() {  # run_tree DIR SANITIZE WERROR [ctest args...]
+  local dir="$1" sanitize="$2" werror="$3"
+  shift 3
+  echo "--- [$dir] configure (DARL_SANITIZE='$sanitize', DARL_WARNINGS_AS_ERRORS=$werror) ---"
+  cmake -B "$dir" -S . -DDARL_SANITIZE="$sanitize" \
+      -DDARL_WARNINGS_AS_ERRORS="$werror"
   echo "--- [$dir] build ---"
   cmake --build "$dir" -j "$JOBS"
   echo "--- [$dir] ctest ---"
@@ -114,7 +117,7 @@ run_tree() {
 # analyzer binaries (stdlib-only, seconds) so lint findings arrive before
 # any full build is paid for.
 stage "darl_lint (per-line static analysis)"
-cmake -B build -S . > /dev/null
+cmake -B build -S . -DDARL_WARNINGS_AS_ERRORS=ON > /dev/null
 cmake --build build -j "$JOBS" --target darl_lint darl_verify
 ./build/tools/darl_lint --root .
 
@@ -122,19 +125,19 @@ stage "darl_verify (concurrency discipline)"
 ./build/tools/darl_verify --root .
 
 stage "build/ (plain tree + ctest)"
-run_tree build "" "$@"
+run_tree build "" ON "$@"
 
 stage "clang-tidy (optional)"
 tools/run_clang_tidy.sh build
 
 stage "build-ubsan/ (undefined)"
-run_tree build-ubsan undefined "$@"
+run_tree build-ubsan undefined OFF "$@"
 
 stage "build-asan/ (address,undefined + leaks)"
-ASAN_OPTIONS="detect_leaks=1" run_tree build-asan address,undefined "$@"
+ASAN_OPTIONS="detect_leaks=1" run_tree build-asan address,undefined OFF "$@"
 
 stage "build-tsan/ (thread)"
-run_tree build-tsan thread "$@"
+run_tree build-tsan thread OFF "$@"
 # Re-race the gemm bitwise-equivalence suite with the pool actually wide:
 # the full ctest pass above runs at the default width (1), so this is the
 # run where TSan watches the fixed tile-ownership schedule's handoff.

@@ -433,7 +433,11 @@ int run_fleet(const CliOptions& opt) {
     tenant_names.emplace_back();
   } else {
     for (std::size_t t = 0; t < opt.tenants; ++t) {
-      tenant_names.push_back("t" + std::to_string(t));
+      // Appended rather than built with operator+(const char*, string&&):
+      // GCC 12 at -O3 flags that form with a false -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(t);
+      tenant_names.push_back(std::move(name));
     }
   }
   serve::PolicyStore store;

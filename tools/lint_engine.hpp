@@ -128,7 +128,11 @@ inline std::string strip_noncode(const std::string& src) {
             // R"delim( ... )delim"  — find the delimiter.
             std::size_t paren = src.find('(', i + 1);
             if (paren == std::string::npos) paren = src.size();
-            raw_end = ")" + src.substr(i + 1, paren - i - 1) + "\"";
+            // Appended piecewise: GCC 12 at -O3 flags `")" + string`
+            // with a false -Wrestrict.
+            raw_end = ")";
+            raw_end += src.substr(i + 1, paren - i - 1);
+            raw_end += '"';
             state = State::RawString;
           } else {
             state = State::String;
